@@ -99,18 +99,19 @@ let map t f xs =
         let remaining = Atomic.make n in
         let batch_mutex = Mutex.create () in
         let batch_done = Condition.create () in
-        (* Tasks adopt the spawning request's trace context: whatever
-           domain (or helping caller from another batch) executes a
-           slot installs this batch's context for the task's duration,
-           so spans recorded inside land in the right request's tree. *)
-        let trace_ctx = Telemetry.Trace.current () in
+        (* Tasks adopt the spawning request's context (trace, trail):
+           whatever domain (or helping caller from another batch)
+           executes a slot replaces its own bindings with this batch's
+           for the task's duration, so spans and provenance recorded
+           inside land in the right request. *)
+        let ctx = Telemetry.Context.capture () in
         let run_slot i =
           (* Sharded by the executing domain, so the per-shard readout
              of this counter is the pool's per-domain utilization. *)
           Telemetry.Counter.incr tasks_executed;
           let r =
             try
-              Ok (Telemetry.Trace.with_context trace_ctx (fun () -> f inputs.(i)))
+              Ok (Telemetry.Context.with_captured ctx (fun () -> f inputs.(i)))
             with e -> Error e
           in
           results.(i) <- Some r;

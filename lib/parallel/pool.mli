@@ -32,7 +32,12 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     calls over the pool's domains, and returns the results in input
     order. With [jobs t = 1] this is exactly [List.map f xs]. If one or
     more applications raise, the exception of the smallest input index
-    is re-raised after the whole batch has settled. *)
+    is re-raised after the whole batch has settled.
+
+    The caller's request context ({!Aved_telemetry.Telemetry.Context})
+    is captured once per call, and every task runs with exactly those
+    bindings, replacing whatever the executing thread had bound — also
+    when a caller of another [map] helps drain this batch. *)
 
 val shutdown : t -> unit
 (** Signals the workers to exit once the queue drains and joins them.

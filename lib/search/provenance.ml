@@ -45,28 +45,32 @@ let create ?(capacity = 512) () =
 
 let capacity t = t.ring_capacity
 
-(* The ambient trail, mirroring the telemetry registry: at most one
-   installed, and [note] is a one-branch no-op without one. *)
-let ambient : t option Atomic.t = Atomic.make None
+(* The trail is one key of the per-thread request context, so each
+   request's searches (and their pool tasks) record into their own
+   trail, and [note] is a one-load no-op without one. *)
+let key : t Telemetry.Context.key = Telemetry.Context.key ()
+let enabled () = Telemetry.Context.get key <> None
+let with_trail t f = Telemetry.Context.with_value key (Some t) f
 
-let install t = Atomic.set ambient (Some t)
-let uninstall () = Atomic.set ambient None
-let enabled () = Atomic.get ambient <> None
+let fate_index = function
+  | Incumbent -> 0
+  | Dominated _ -> 1
+  | Over_downtime_budget _ -> 2
+  | Over_cost_cap _ -> 3
+  | Rejected_by_model _ -> 4
+  | Pruned_by_bound _ -> 5
 
-let with_trail t f =
-  install t;
-  Fun.protect ~finally:uninstall f
+let fate_labels =
+  [| "incumbent"; "dominated"; "over_downtime_budget"; "over_cost_cap";
+     "rejected_by_model"; "pruned_by_bound" |]
 
-let fate_label = function
-  | Incumbent -> "incumbent"
-  | Dominated _ -> "dominated"
-  | Over_downtime_budget _ -> "over_downtime_budget"
-  | Over_cost_cap _ -> "over_cost_cap"
-  | Rejected_by_model _ -> "rejected_by_model"
-  | Pruned_by_bound _ -> "pruned_by_bound"
-
+let fate_label fate = fate_labels.(fate_index fate)
 let records_noted = Telemetry.Counter.make "explain.records.noted"
 let records_dropped = Telemetry.Counter.make "explain.records.dropped"
+
+(* Interned once: [append] runs for every candidate. *)
+let fate_counters =
+  Array.map (fun l -> Telemetry.Counter.make ("explain.fate." ^ l)) fate_labels
 
 let append t record =
   Mutex.lock t.mutex;
@@ -88,12 +92,11 @@ let append t record =
   if Telemetry.enabled () then begin
     Telemetry.Counter.incr records_noted;
     if overwrote then Telemetry.Counter.incr records_dropped;
-    Telemetry.Counter.incr
-      (Telemetry.Counter.make ("explain.fate." ^ fate_label record.fate))
+    Telemetry.Counter.incr fate_counters.(fate_index record.fate)
   end
 
 let note thunk =
-  match Atomic.get ambient with
+  match Telemetry.Context.get key with
   | None -> ()
   | Some t -> append t (thunk ())
 

@@ -1,12 +1,15 @@
 (** Decision provenance: why every generated candidate won or lost.
 
     The searches tag candidates with a typed {!fate} and append them to
-    an ambient, bounded, per-tier ring buffer (the {e trail}). Like the
-    telemetry registry, the trail observes the search without steering
-    it: with no trail installed every {!note} costs a single branch and
-    allocates nothing, so search results and timings — and the fig6/7/8
-    and [design] outputs — are byte-identical to a build without
-    provenance. The ring bound keeps memory flat on figure-sized grids
+    a bounded, per-tier ring buffer (the {e trail}). A trail belongs to
+    one request: {!with_trail} binds it in the calling thread's request
+    context ({!Aved_telemetry.Telemetry.Context}), which pool tasks
+    adopt, so concurrent searches each record into their own trail (or
+    none) without any lock between them. The trail observes the search
+    without steering it: with no trail bound every {!note} costs one
+    atomic load and allocates nothing, so search results and timings —
+    and the fig6/7/8 and [design] outputs — are byte-identical to a
+    build without provenance. The ring bound keeps memory flat on figure-sized grids
     (a Fig. 6 cell can generate thousands of candidates); once a tier's
     ring is full, the oldest records are overwritten and counted in
     {!dropped}. *)
@@ -62,25 +65,22 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val install : t -> unit
-(** Make [t] the ambient trail every {!note} records into, replacing
-    any previous one. *)
-
-val uninstall : unit -> unit
-
 val enabled : unit -> bool
-(** Whether a trail is installed — use to skip work (building fate
-    details, swap analyses) that only matters when recording. *)
+(** Whether the calling thread has a trail bound — use to skip work
+    (building fate details, swap analyses) that only matters when
+    recording. *)
 
 val with_trail : t -> (unit -> 'a) -> 'a
-(** [with_trail t f] installs [t], runs [f], uninstalls again (even on
-    exception). *)
+(** [with_trail t f] runs [f] with [t] as the calling thread's trail
+    (and that of every pool task [f] spawns), then restores the
+    previous binding, even on exception. Other threads are
+    unaffected. *)
 
 val note : (unit -> record) -> unit
-(** Append the record to the ambient trail; the thunk only runs when a
-    trail is installed. Also counts the fate in the telemetry registry
-    (counters [explain.fate.*], [explain.records.*]) when one is
-    installed. *)
+(** Append the record to the calling thread's trail; the thunk only
+    runs when one is bound. Also counts the fate in the telemetry
+    registry (counters [explain.fate.*], [explain.records.*]) when one
+    is installed. *)
 
 val tiers : t -> string list
 (** Tier names with at least one record, sorted. *)

@@ -138,7 +138,7 @@ let combine_frontiers ?pool frontiers ~budget_fraction =
    frontier point cheaper than the chosen one would — with the other
    tiers' choices held fixed — push the series downtime over the
    budget. Record by how much, so the combination step is auditable
-   tier by tier. Runs only when a trail is installed, after the
+   tier by tier. Runs only when a trail is bound, after the
    combination, and never influences the selection. *)
 let note_budget_swaps tiers frontiers chosen ~budget_fraction =
   let chosen = Array.of_list chosen in

@@ -234,21 +234,6 @@ type job = {
   key : string option;  (** In-flight registry key this job leads. *)
 }
 
-(* Searches record candidate fates into an ambient provenance trail
-   (process-global), so a trail-installed search must not overlap any
-   other search: plain searches take the gate shared, [explain] takes
-   it exclusive. *)
-type search_gate = {
-  g_mutex : Mutex.t;
-  g_cond : Condition.t;
-  mutable g_readers : int;
-  mutable g_writer : bool;
-  mutable g_writers_waiting : int;
-      (* Writer-preference: new readers also wait while a writer is
-         queued, so sustained design/frontier traffic cannot starve an
-         [explain] request indefinitely. *)
-}
-
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
@@ -261,7 +246,6 @@ type t = {
   search_config : Aved_search.Search_config.t;
   specs : Spec_cache.t;
   registry : Telemetry.t;
-  gate : search_gate;
   slo : Slo.t;
   traces : Trace_store.t;
   exemplars : Exemplars.t;
@@ -360,46 +344,6 @@ let close_conn t conn =
     Telemetry.Gauge.set connections_live_gauge
       (float_of_int (Atomic.get t.connections_live))
   end
-
-(* ------------------------------------------------------------------ *)
-(* The search gate *)
-
-let make_gate () =
-  {
-    g_mutex = Mutex.create ();
-    g_cond = Condition.create ();
-    g_readers = 0;
-    g_writer = false;
-    g_writers_waiting = 0;
-  }
-
-let with_shared g f =
-  Mutex.lock g.g_mutex;
-  while g.g_writer || g.g_writers_waiting > 0 do
-    Condition.wait g.g_cond g.g_mutex
-  done;
-  g.g_readers <- g.g_readers + 1;
-  Mutex.unlock g.g_mutex;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock g.g_mutex;
-      g.g_readers <- g.g_readers - 1;
-      if g.g_readers = 0 then Condition.broadcast g.g_cond;
-      Mutex.unlock g.g_mutex)
-
-let with_exclusive g f =
-  Mutex.lock g.g_mutex;
-  g.g_writers_waiting <- g.g_writers_waiting + 1;
-  while g.g_writer || g.g_readers > 0 do
-    Condition.wait g.g_cond g.g_mutex
-  done;
-  g.g_writers_waiting <- g.g_writers_waiting - 1;
-  g.g_writer <- true;
-  Mutex.unlock g.g_mutex;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock g.g_mutex;
-      g.g_writer <- false;
-      Condition.broadcast g.g_cond;
-      Mutex.unlock g.g_mutex)
 
 (* ------------------------------------------------------------------ *)
 (* Parameter decoding *)
@@ -566,7 +510,6 @@ let handle_design t ~version params =
   let requirements = requirements_of_params params in
   let infra, service = load_checked t ~no_check ~infra_file ~service_file in
   let report =
-    with_shared t.gate @@ fun () ->
     Aved.Engine.design ~config:t.search_config ~pool:t.pool infra service
       requirements
   in
@@ -584,7 +527,6 @@ let handle_frontier t ~version params =
   let infra, service = load_checked t ~no_check ~infra_file ~service_file in
   let tier = resolve_tier service (string_param params "tier") in
   let frontier =
-    with_shared t.gate @@ fun () ->
     Aved_search.Tier_search.frontier ~pool:t.pool t.search_config infra ~tier
       ~demand:load
   in
@@ -599,19 +541,14 @@ let handle_explain t ~version params =
   let top = int_param params "top" ~default:5 in
   let requirements = requirements_of_params params in
   let infra, service = load_checked t ~no_check ~infra_file ~service_file in
+  let trail = Aved_search.Provenance.create () in
   let explanation =
-    with_exclusive t.gate @@ fun () ->
-    let trail = Aved_search.Provenance.create () in
-    let result =
-      Aved_search.Provenance.with_trail trail @@ fun () ->
-      Aved.Engine.design ~config:t.search_config ~pool:t.pool infra service
-        requirements
-    in
-    Option.map
-      (fun report ->
-        Aved.Engine.explain ~top ~trail ~config:t.search_config infra service
-          requirements report)
-      result
+    Aved_search.Provenance.with_trail trail (fun () ->
+        Aved.Engine.design ~config:t.search_config ~pool:t.pool infra service
+          requirements)
+    |> Option.map (fun report ->
+           Aved.Engine.explain ~top ~trail ~config:t.search_config infra
+             service requirements report)
   in
   Api.explain_result_to_json ~version
     (Api.explain_result_of_explanation explanation)
@@ -1377,7 +1314,6 @@ let create config =
       search_config;
       specs = Spec_cache.create ();
       registry;
-      gate = make_gate ();
       slo = Slo.create config.slo;
       traces = Trace_store.create ~capacity:config.trace_ring;
       exemplars = Exemplars.create ();

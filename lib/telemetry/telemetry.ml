@@ -367,6 +367,74 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Per-thread request context *)
+
+module Context = struct
+  type 'a key = 'a Type.Id.t
+  type binding = B : 'a key * 'a -> binding
+
+  module Int_map = Map.Make (Int)
+
+  (* One thread's bindings, by key uid. *)
+  type captured = binding Int_map.t
+
+  let key () = Type.Id.make ()
+
+  (* Bindings are per-*thread*, not per-domain: the daemon's dispatcher
+     threads share domain 0, so Domain.DLS would bleed one request's
+     bindings into a concurrent request. Every thread's bindings live in
+     one immutable map behind an atomic, keyed by [Thread.id]: readers
+     never lock, and with nothing bound anywhere a read is one atomic
+     load. Only a thread itself writes its entry (copy-on-write under
+     compare-and-set), so a snapshot's entry for the calling thread is
+     always current. *)
+  let threads : captured Int_map.t Atomic.t = Atomic.make Int_map.empty
+  let self () = Thread.id (Thread.self ())
+
+  let capture () =
+    let table = Atomic.get threads in
+    if Int_map.is_empty table then Int_map.empty
+    else Option.value ~default:Int_map.empty (Int_map.find_opt (self ()) table)
+
+  let get (type a) (k : a key) : a option =
+    let bindings = capture () in
+    if Int_map.is_empty bindings then None
+    else
+      match Int_map.find_opt (Type.Id.uid k) bindings with
+      | Some (B (k', v)) -> (
+          match Type.Id.provably_equal k k' with
+          | Some Type.Equal -> Some v
+          | None -> None)
+      | None -> None
+
+  let rec set tid bindings =
+    let table = Atomic.get threads in
+    let table' =
+      if Int_map.is_empty bindings then Int_map.remove tid table
+      else Int_map.add tid bindings table
+    in
+    if not (Atomic.compare_and_set threads table table') then set tid bindings
+
+  let with_captured bindings f =
+    let saved = capture () in
+    if saved == bindings then f ()
+    else begin
+      let tid = self () in
+      set tid bindings;
+      Fun.protect ~finally:(fun () -> set tid saved) f
+    end
+
+  let with_value k v f =
+    let bindings = capture () in
+    let uid = Type.Id.uid k in
+    with_captured
+      (match v with
+      | Some v -> Int_map.add uid (B (k, v)) bindings
+      | None -> Int_map.remove uid bindings)
+      f
+end
+
+(* ------------------------------------------------------------------ *)
 (* Per-request trace collectors *)
 
 module Trace = struct
@@ -463,59 +531,16 @@ module Trace = struct
     t.len <- t.len + 1;
     Mutex.unlock t.t_mutex
 
-  (* The ambient context is per-*thread*, not per-domain: the daemon's
-     dispatcher threads share domain 0, so Domain.DLS would bleed one
-     request's context into a concurrent request's spans. Threads are
-     keyed by [Thread.id]; the table is only consulted while at least
-     one context is installed anywhere ([installed] > 0), so with
-     sampling off the whole machinery costs one atomic load. *)
-  let installed = Atomic.make 0
-  let tls_mutex = Mutex.create ()
-  let tls : (int, context) Hashtbl.t = Hashtbl.create 64
-  let self_key () = Thread.id (Thread.self ())
+  let key : context Context.key = Context.key ()
+  let current () = Context.get key
+  let with_context ctx f = Context.with_value key ctx f
 
-  let current () =
-    if Atomic.get installed = 0 then None
-    else begin
-      let key = self_key () in
-      Mutex.lock tls_mutex;
-      let ctx = Hashtbl.find_opt tls key in
-      Mutex.unlock tls_mutex;
-      ctx
-    end
-
-  let swap_ctx key ctx =
-    Mutex.lock tls_mutex;
-    let prev = Hashtbl.find_opt tls key in
-    (match ctx with
-    | Some c -> Hashtbl.replace tls key c
-    | None -> Hashtbl.remove tls key);
-    (match (prev, ctx) with
-    | None, Some _ -> Atomic.incr installed
-    | Some _, None -> Atomic.decr installed
-    | None, None | Some _, Some _ -> ());
-    Mutex.unlock tls_mutex;
-    prev
-
-  let with_context ctx f =
-    match ctx with
-    | None when Atomic.get installed = 0 -> f ()
-    | _ ->
-        let key = self_key () in
-        let saved = swap_ctx key ctx in
-        Fun.protect ~finally:(fun () -> ignore (swap_ctx key saved)) f
-
-  type open_span = {
-    os_cell : cell option;
-    os_key : int;
-    os_saved : context option;
-    os_cpu0 : float;
-    os_minor0 : float;
-    os_major0 : float;
-  }
-
-  let enter ctx name start_s =
+  (* Run [f] as a child span of [ctx]: claim a cell, make it the
+     ambient parent while [f] runs, and on exit fill in the wall
+     duration and resource deltas. *)
+  let within ctx name f =
     let t = ctx.trace in
+    let start_s = now_seconds () in
     Mutex.lock t.t_mutex;
     let cell =
       if t.len >= t.capacity then begin
@@ -542,32 +567,19 @@ module Trace = struct
       end
     in
     Mutex.unlock t.t_mutex;
-    let key = self_key () in
-    let saved =
-      match cell with
-      | Some c -> swap_ctx key (Some { trace = t; parent = c.c_id })
-      | None -> swap_ctx key (Some ctx)
-    in
-    let minor0, _, major0 = Gc.counters () in
-    {
-      os_cell = cell;
-      os_key = key;
-      os_saved = saved;
-      os_cpu0 = Sys.time ();
-      os_minor0 = minor0;
-      os_major0 = major0;
-    }
-
-  let exit_span os end_s =
-    ignore (swap_ctx os.os_key os.os_saved);
-    match os.os_cell with
-    | None -> ()
+    match cell with
+    | None -> f ()
     | Some c ->
-        let minor1, _, major1 = Gc.counters () in
-        c.c_cpu_s <- Sys.time () -. os.os_cpu0;
-        c.c_minor <- minor1 -. os.os_minor0;
-        c.c_major <- major1 -. os.os_major0;
-        c.c_dur_s <- end_s -. c.c_start_s
+        let minor0, _, major0 = Gc.counters () in
+        let cpu0 = Sys.time () in
+        Fun.protect
+          ~finally:(fun () ->
+            let minor1, _, major1 = Gc.counters () in
+            c.c_cpu_s <- Sys.time () -. cpu0;
+            c.c_minor <- minor1 -. minor0;
+            c.c_major <- major1 -. major0;
+            c.c_dur_s <- now_seconds () -. c.c_start_s)
+          (fun () -> with_context (Some { trace = t; parent = c.c_id }) f)
 
   let spans t =
     Mutex.lock t.t_mutex;
@@ -626,30 +638,6 @@ let push_span t span =
     buffer.buf_len <- buffer.buf_len + 1
   end
 
-let with_span name f =
-  let registry = Atomic.get current in
-  let tctx = Trace.current () in
-  match (registry, tctx) with
-  | None, None -> f ()
-  | _ ->
-      let t0 = now_seconds () in
-      let entered = Option.map (fun c -> Trace.enter c name t0) tctx in
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = now_seconds () in
-          Option.iter (fun os -> Trace.exit_span os t1) entered;
-          match registry with
-          | None -> ()
-          | Some t ->
-              push_span t
-                {
-                  span_name = name;
-                  start_s = t0;
-                  dur_s = t1 -. t0;
-                  tid = (Domain.self () :> int);
-                })
-        f
-
 (* Trace-only span: records into the ambient request trace (when one
    is sampled) but never into the registry's per-domain buffers. For
    hot instrumentation points — solver backends, cache misses — that
@@ -657,10 +645,23 @@ let with_span name f =
 let with_trace_span name f =
   match Trace.current () with
   | None -> f ()
-  | Some c ->
+  | Some c -> Trace.within c name f
+
+let with_span name f =
+  match Atomic.get current with
+  | None -> with_trace_span name f
+  | Some t ->
       let t0 = now_seconds () in
-      let os = Trace.enter c name t0 in
-      Fun.protect ~finally:(fun () -> Trace.exit_span os (now_seconds ())) f
+      Fun.protect
+        ~finally:(fun () ->
+          push_span t
+            {
+              span_name = name;
+              start_s = t0;
+              dur_s = now_seconds () -. t0;
+              tid = (Domain.self () :> int);
+            })
+        (fun () -> with_trace_span name f)
 
 let spans t =
   Mutex.lock t.mutex;

@@ -120,24 +120,61 @@ module Histogram : sig
       label a Prometheus exemplar for an observation must attach to. *)
 end
 
+(** The per-thread request context: typed values a request binds for
+    the code below it — its trace context ({!Trace}), its provenance
+    trail ([Aved_search.Provenance]) — without threading them through
+    every signature.
+
+    Bindings are per-{e thread}, not per-domain (the daemon's
+    dispatcher threads share a domain, so domain-local storage would
+    bleed one request's bindings into another). Pool worker domains
+    adopt them for the duration of each task:
+    {!Aved_parallel.Pool.map} {!Context.capture}s the caller's bindings
+    once per batch and runs every task under {!Context.with_captured}.
+    Reads never lock: with nothing bound on any thread, {!Context.get}
+    is one atomic load. *)
+module Context : sig
+  type 'a key
+  (** Names one typed slot of the context. *)
+
+  val key : unit -> 'a key
+  (** A fresh key, distinct from every other; normally made once at
+      module initialization. *)
+
+  val get : 'a key -> 'a option
+  (** The calling thread's value for the key, if bound. *)
+
+  val with_value : 'a key -> 'a option -> (unit -> 'b) -> 'b
+  (** Bind (or, on [None], unbind) the key for the calling thread while
+      the thunk runs; the thread's other bindings are untouched. Always
+      restores the previous bindings, also on exception. *)
+
+  type captured
+  (** A snapshot of one thread's bindings, all keys at once. *)
+
+  val capture : unit -> captured
+  (** The calling thread's current bindings. *)
+
+  val with_captured : captured -> (unit -> 'a) -> 'a
+  (** Run the thunk with exactly the captured bindings, {e replacing}
+      (not merging into) the calling thread's own; always restores. *)
+end
+
 (** Per-request trace collectors: parent/child span trees with resource
-    attribution, threaded through the engines by an ambient
-    {e trace context}.
+    attribution, threaded through the engines by a {e trace context}
+    bound in the request {!Context}.
 
     A collector ({!Trace.t}) belongs to one sampled request. A
     {!Trace.context} names a collector plus the span id new child spans
-    attach under; it is installed per-{e thread} (dispatcher threads
-    share a domain, so domain-local storage would bleed contexts across
-    concurrent requests) and adopted by pool worker domains for the
-    duration of each task ({!Aved_parallel.Pool.map} captures the
-    spawning context). {!with_span} and {!with_trace_span} consult the
-    ambient context: inside one, they allocate a child span, re-install
-    the context with themselves as parent, and on exit record wall
-    duration plus resource deltas — process CPU seconds ([Sys.time])
-    and the executing domain's minor/major allocated words
-    ([Gc.counters]).
+    attach under; it is one key of the per-thread {!Context}, so it
+    follows the request onto pool worker domains.
+    {!with_span} and {!with_trace_span} consult it: inside one, they
+    allocate a child span, re-bind the context with themselves as
+    parent, and on exit record wall duration plus resource deltas —
+    process CPU seconds ([Sys.time]) and the executing domain's
+    minor/major allocated words ([Gc.counters]).
 
-    With no context installed anywhere the cost is one atomic load per
+    With nothing bound anywhere the cost is one atomic load per
     potential span — sampling off means tracing is free. *)
 module Trace : sig
   type span = {
@@ -190,11 +227,12 @@ module Trace : sig
   val context : t -> parent:int -> context
 
   val current : unit -> context option
-  (** The calling thread's installed context, if any. *)
+  (** The calling thread's bound trace context, if any. *)
 
   val with_context : context option -> (unit -> 'a) -> 'a
-  (** Install (or clear, on [None]) the ambient context for the
-      calling thread while the thunk runs; always restores. *)
+  (** Bind (or clear, on [None]) the trace context for the calling
+      thread while the thunk runs ({!Context.with_value}); always
+      restores. *)
 
   val spans : t -> span list
   (** Completed spans sorted by start time (then id). Call after the
@@ -221,12 +259,12 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** Run the thunk and record a completed span (also on exception).
     Nesting is positional: spans of one domain nest by time
     containment, which is how Chrome's tracing UI renders them.
-    Additionally, when the calling thread has an ambient
+    Additionally, when the calling thread has a bound
     {!Trace.context}, a child span with explicit parent links and
     resource deltas is recorded into that trace. *)
 
 val with_trace_span : string -> (unit -> 'a) -> 'a
-(** Like {!with_span} but records {e only} into the ambient
+(** Like {!with_span} but records {e only} into the calling thread's
     {!Trace.context} (nothing when none is installed). For hot
     instrumentation points — solver backends, cache misses — that
     would flood the positional buffers if recorded unconditionally. *)

@@ -59,8 +59,9 @@ let test_ring_bound () =
        (fun (r : Provenance.record) -> r.tier)
        (Provenance.records t ~tier:"nope"))
 
+(* Nothing binds a trail on the test's main thread, so [note] must be
+   inert here whatever other threads have bound. *)
 let test_note_disabled_is_free () =
-  Provenance.uninstall ();
   Alcotest.(check bool) "disabled" false (Provenance.enabled ());
   let ran = ref false in
   Provenance.note (fun () ->
@@ -69,13 +70,33 @@ let test_note_disabled_is_free () =
   Alcotest.(check bool) "thunk not run without a trail" false !ran
 
 let test_with_trail_scoping () =
-  let t = Provenance.create () in
+  let outer = Provenance.create () and inner = Provenance.create () in
   Alcotest.(check bool) "enabled inside" true
-    (Provenance.with_trail t (fun () -> Provenance.enabled ()));
+    (Provenance.with_trail outer (fun () -> Provenance.enabled ()));
   Alcotest.(check bool) "disabled after" false (Provenance.enabled ());
-  (* Uninstalls on exception too. *)
+  (* Nested trails shadow, then restore, the enclosing one. *)
+  Provenance.with_trail outer (fun () ->
+      Provenance.with_trail inner (fun () ->
+          Provenance.note (fun () -> dummy_record ~tier:"inner" ()));
+      Provenance.note (fun () -> dummy_record ~tier:"outer" ()));
+  Alcotest.(check (list string)) "inner got its record" [ "inner" ]
+    (Provenance.tiers inner);
+  Alcotest.(check (list string)) "outer got its record" [ "outer" ]
+    (Provenance.tiers outer);
+  (* A trail bound on another thread is invisible here. *)
+  let other =
+    Thread.create
+      (fun () ->
+        Provenance.with_trail outer (fun () ->
+            Provenance.note (fun () -> dummy_record ~tier:"other" ())))
+      ()
+  in
+  Thread.join other;
+  Alcotest.(check bool) "other thread's trail not visible" false
+    (Provenance.enabled ());
+  (* Unbinds on exception too. *)
   (try
-     Provenance.with_trail t (fun () -> failwith "boom")
+     Provenance.with_trail outer (fun () -> failwith "boom")
    with Failure _ -> ());
   Alcotest.(check bool) "disabled after raise" false (Provenance.enabled ())
 
@@ -118,13 +139,13 @@ let test_fate_labels () =
 (* ------------------------------------------------------------------ *)
 (* Fates recorded by a real search *)
 
-let searched_optimal ?(jobs = 1) () =
+let searched_optimal ?(jobs = 1) ?pool () =
   let config = Search_config.with_jobs jobs config in
   let trail = Provenance.create ~capacity:100_000 () in
   let best =
     Provenance.with_trail trail @@ fun () ->
-    Tier_search.optimal config (infra ()) ~tier:(app_tier ()) ~demand:1000.
-      ~max_downtime:(Duration.of_minutes 100.)
+    Tier_search.optimal ?pool config (infra ()) ~tier:(app_tier ())
+      ~demand:1000. ~max_downtime:(Duration.of_minutes 100.)
   in
   match best with
   | Some c -> (trail, c)
@@ -167,25 +188,32 @@ let test_search_records_fates () =
       Alcotest.(check bool) "no execution_time" true (r.execution_time = None))
     records
 
-let test_runner_ups_deterministic_across_jobs () =
-  let explanation jobs =
-    let trail, winner = searched_optimal ~jobs () in
-    Explain.explain_tier ~top:5 ~trail ~engine:Evaluate.Analytic
-      ~design:winner.Candidate.design ~cost:winner.Candidate.cost
-      ~model:winner.Candidate.model ()
-  in
-  let e1 = explanation 1 and e3 = explanation 3 in
-  let summarize (e : Explain.tier_explanation) =
-    List.map
-      (fun (r : Explain.runner_up) ->
-        Provenance.describe r.record.design
-        ^ " / "
-        ^ Provenance.fate_label r.record.fate)
-      e.runner_ups
-  in
-  Alcotest.(check int) "same distinct designs" e1.considered e3.considered;
+let explanation_of (trail, winner) =
+  Explain.explain_tier ~top:5 ~trail ~engine:Evaluate.Analytic
+    ~design:winner.Candidate.design ~cost:winner.Candidate.cost
+    ~model:winner.Candidate.model ()
+
+let summarize_runner_ups (e : Explain.tier_explanation) =
+  List.map
+    (fun (r : Explain.runner_up) ->
+      Provenance.describe r.record.design
+      ^ " / "
+      ^ Provenance.fate_label r.record.fate)
+    e.runner_ups
+
+let check_same_explanation name (expected : Explain.tier_explanation)
+    (actual : Explain.tier_explanation) =
+  Alcotest.(check int) (name ^ ": same distinct designs") expected.considered
+    actual.considered;
   Alcotest.(check (list string))
-    "same runner-ups in the same order" (summarize e1) (summarize e3)
+    (name ^ ": same runner-ups in the same order")
+    (summarize_runner_ups expected)
+    (summarize_runner_ups actual)
+
+let test_runner_ups_deterministic_across_jobs () =
+  check_same_explanation "jobs 1 vs 3"
+    (explanation_of (searched_optimal ~jobs:1 ()))
+    (explanation_of (searched_optimal ~jobs:3 ()))
 
 let test_explain_tier_report () =
   let trail, winner = searched_optimal () in
@@ -253,6 +281,137 @@ let test_explain_tier_report () =
            scan 0)
       then Alcotest.failf "report misses %S in:\n%s" needle text)
     [ "by failure mode"; "runner-ups"; "nines"; "min/yr" ]
+
+(* ------------------------------------------------------------------ *)
+(* Trails are per request: concurrent searches never share one *)
+
+(* Every record of a trail, rendered, in recording order. *)
+let trail_lines trail =
+  List.concat_map
+    (fun tier ->
+      List.map
+        (fun (r : Provenance.record) ->
+          Printf.sprintf "%s | %s | %.17g | %s | %s" r.tier
+            (Provenance.describe r.design)
+            (Money.to_float r.cost)
+            (match r.downtime with
+            | Some d -> Printf.sprintf "%.17g" (Duration.minutes d)
+            | None -> "-")
+            (Provenance.fate_label r.fate))
+        (Provenance.records trail ~tier))
+    (Provenance.tiers trail)
+
+(* At jobs 1 a search's trail is a deterministic sequence, so searches
+   interleaved on two threads must each record exactly what a solo run
+   records — nothing of the other's. Each thread searches repeatedly so
+   that the runtime's preemption ticks land inside searches. *)
+let test_concurrent_trails_match_solo () =
+  let solo = trail_lines (fst (searched_optimal ())) in
+  let rounds = 40 in
+  let runs = Array.make 2 [] in
+  let threads =
+    Array.init 2 (fun k ->
+        Thread.create
+          (fun () ->
+            runs.(k) <-
+              List.init rounds (fun _ ->
+                  trail_lines (fst (searched_optimal ()))))
+          ())
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun k trails ->
+      List.iteri
+        (fun round lines ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "thread %d, round %d: trail equals the solo trail"
+               k round)
+            solo lines)
+        trails)
+    runs
+
+(* On one shared jobs-2 pool, a trailed search runs beside an untrailed
+   search of another load; the trailed one's explanation is the solo
+   jobs-1 one. *)
+let test_trailed_beside_untrailed_search () =
+  let solo = explanation_of (searched_optimal ~jobs:1 ()) in
+  Aved_parallel.Pool.run ~jobs:2 @@ fun pool ->
+  let config = Search_config.with_jobs 2 config in
+  let untrailed =
+    Thread.create
+      (fun () ->
+        for _ = 1 to 3 do
+          ignore
+            (Tier_search.optimal ~pool config (infra ()) ~tier:(app_tier ())
+               ~demand:2500. ~max_downtime:(Duration.of_minutes 30.))
+        done)
+      ()
+  in
+  let trailed = explanation_of (searched_optimal ~jobs:2 ~pool ()) in
+  Thread.join untrailed;
+  check_same_explanation "trailed beside untrailed" solo trailed
+
+(* Every pool task sees its own batch's trail binding, also when the
+   thread executing it is a caller helping from another batch. The
+   schedule is forced: the untrailed batch parks its first two slots
+   (the caller's own and the one worker's) until the trailed batch is
+   done, so the trailed caller must drain the untrailed batch's queued
+   tasks itself. *)
+let test_pool_tasks_see_their_batch_trail () =
+  Aved_parallel.Pool.run ~jobs:2 @@ fun pool ->
+  let m = Mutex.create () and changed = Condition.create () in
+  let started = ref 0 and released = ref false in
+  let probe () = (Provenance.enabled (), Thread.id (Thread.self ())) in
+  let untrailed_task i =
+    Mutex.lock m;
+    incr started;
+    Condition.broadcast changed;
+    if i < 2 then
+      while not !released do
+        Condition.wait changed m
+      done;
+    Mutex.unlock m;
+    probe ()
+  in
+  let untrailed_result = ref [] in
+  let untrailed =
+    Thread.create
+      (fun () ->
+        untrailed_result :=
+          Aved_parallel.Pool.map pool untrailed_task (List.init 6 Fun.id))
+      ()
+  in
+  Mutex.lock m;
+  while !started < 2 do
+    Condition.wait changed m
+  done;
+  Mutex.unlock m;
+  let trail = Provenance.create () in
+  let trailed =
+    Provenance.with_trail trail (fun () ->
+        Aved_parallel.Pool.map pool (fun _ -> probe ()) (List.init 4 Fun.id))
+  in
+  Mutex.lock m;
+  released := true;
+  Condition.broadcast changed;
+  Mutex.unlock m;
+  Thread.join untrailed;
+  let me = Thread.id (Thread.self ()) in
+  List.iter
+    (fun (enabled, tid) ->
+      Alcotest.(check bool) "trailed task sees the trail" true enabled;
+      Alcotest.(check int) "trailed task ran on its caller" me tid)
+    trailed;
+  List.iteri
+    (fun i (enabled, tid) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "untrailed task %d sees no trail" i)
+        false enabled;
+      if i >= 2 then
+        Alcotest.(check int)
+          (Printf.sprintf "untrailed task %d ran on the helping caller" i)
+          me tid)
+    !untrailed_result
 
 (* ------------------------------------------------------------------ *)
 (* Decomposition across engines *)
@@ -524,6 +683,15 @@ let () =
           Alcotest.test_case "runner-ups deterministic across jobs" `Quick
             test_runner_ups_deterministic_across_jobs;
           Alcotest.test_case "tier explanation" `Quick test_explain_tier_report;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "concurrent trails match solo" `Quick
+            test_concurrent_trails_match_solo;
+          Alcotest.test_case "trailed beside untrailed search" `Quick
+            test_trailed_beside_untrailed_search;
+          Alcotest.test_case "pool tasks see their batch's trail" `Quick
+            test_pool_tasks_see_their_batch_trail;
         ] );
       ( "decomposition",
         [

@@ -594,23 +594,28 @@ let test_process_stats () =
   | Some n -> Alcotest.(check bool) "at least one thread" true (n >= 1)
   | None -> ()
 
-(* Pool workers adopt the spawning request's context: spans recorded
-   inside tasks land in the same trace, parented under the span that
-   was ambient at the [map] call. *)
+(* Pool workers adopt the spawning request's whole context from one
+   capture: spans recorded inside tasks land in the same trace, parented
+   under the span that was ambient at the [map] call, and every other
+   key bound beside the trace context (here a test-local one) is seen
+   too. Once the binding's scope ends, no task sees it any more. *)
 let test_trace_pool_propagation () =
   let pool = Aved_parallel.Pool.create ~jobs:2 in
   Fun.protect ~finally:(fun () -> Aved_parallel.Pool.shutdown pool)
   @@ fun () ->
+  let tag : string Telemetry.Context.key = Telemetry.Context.key () in
   let tr = Trace.create ~trace_id:"00ddba11" () in
   let root = Trace.alloc_span_id tr in
-  Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
-      Telemetry.with_trace_span "fanout" (fun () ->
-          ignore
-            (Aved_parallel.Pool.map pool
-               (fun i ->
-                 Telemetry.with_trace_span (Printf.sprintf "task%d" i)
-                   (fun () -> i * i))
-               [ 1; 2; 3; 4 ])));
+  let tags =
+    Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
+        Telemetry.Context.with_value tag (Some "request-7") (fun () ->
+            Telemetry.with_trace_span "fanout" (fun () ->
+                Aved_parallel.Pool.map pool
+                  (fun i ->
+                    Telemetry.with_trace_span (Printf.sprintf "task%d" i)
+                      (fun () -> Telemetry.Context.get tag))
+                  [ 1; 2; 3; 4 ])))
+  in
   Trace.record tr ~id:root ~parent:0 ~name:"request" ~start_s:0. ~dur_s:1.
     ~tid:0;
   let spans = Trace.spans tr in
@@ -626,7 +631,24 @@ let test_trace_pool_propagation () =
   List.iter
     (fun s ->
       Alcotest.(check int) "task under fanout" fanout.Trace.id s.Trace.parent)
-    tasks
+    tasks;
+  Alcotest.(check (list (option string)))
+    "every task saw the key bound beside the trace"
+    (List.init 4 (fun _ -> Some "request-7"))
+    tags;
+  Alcotest.(check (option string))
+    "binding gone from the caller" None
+    (Telemetry.Context.get tag);
+  let after =
+    Aved_parallel.Pool.map pool
+      (fun _ -> (Telemetry.Context.get tag, Trace.current () <> None))
+      [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun (tag, traced) ->
+      Alcotest.(check (option string)) "binding gone from tasks" None tag;
+      Alcotest.(check bool) "trace gone from tasks" false traced)
+    after
 
 let () =
   Alcotest.run "obs"

@@ -1490,6 +1490,63 @@ let test_drain_with_waiters () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
 
 (* ------------------------------------------------------------------ *)
+(* Trail isolation: explain runs beside in-flight searches *)
+
+(* The e-commerce serving shape (one-domain searches, two dispatchers):
+   [explain]s admitted while [design] blockers are in flight on other
+   connections run concurrently with them, and every answer stays
+   byte-equal to the one-shot CLI's — a provenance trail leaking
+   between requests would change an explain result. The explains differ
+   in [top] so none coalesces onto another. *)
+let test_explain_beside_designs () =
+  with_private_daemon [| "--jobs"; "1"; "--dispatchers"; "2" |]
+  @@ fun ~socket ~terminate ->
+  let requests =
+    List.init 16 (fun k ->
+        if k mod 4 = 1 then
+          let top = 1 + (k / 4) in
+          ( Printf.sprintf "explain --load 1000 --downtime 100 --top %d" top,
+            Protocol.Explain,
+            [
+              ("load", Json.Float 1000.);
+              ("downtime_minutes", Json.Float 100.);
+              ("top", Json.Int top);
+            ] )
+        else
+          let load = 4500. +. (10. *. float_of_int k) in
+          ( Printf.sprintf "design --load %g --downtime 123" load,
+            Protocol.Design,
+            [ ("load", Json.Float load); ("downtime_minutes", Json.Float 123.) ]
+          ))
+  in
+  let conns = List.map (fun _ -> private_conn socket) requests in
+  Fun.protect ~finally:(fun () -> List.iter close_client conns) @@ fun () ->
+  List.iteri
+    (fun k (c, (_, verb, params)) ->
+      send_only c
+        (Protocol.request_line ~id:(Json.Int k) verb (spec_params () @ params)))
+    (List.combine conns requests);
+  List.iter
+    (fun ((_, ic, _), (args, _, _)) ->
+      let served =
+        match (response (input_line ic)).Protocol.outcome with
+        | Ok result -> Json.to_string result
+        | Error (_, m) -> Alcotest.failf "%s failed: %s" args m
+      in
+      let status, stdout, stderr =
+        run_aved
+          (Printf.sprintf "%s -i %s -s %s --jobs 1 --json" args
+             (spec "infrastructure.spec") (spec "ecommerce.spec"))
+      in
+      if status <> 0 then
+        Alcotest.failf "CLI %s exited %d: %s" args status stderr;
+      Alcotest.(check string) (args ^ " = CLI --json") (String.trim stdout) served)
+    (List.combine conns requests);
+  match terminate () with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly"
+
+(* ------------------------------------------------------------------ *)
 (* Shutdown — must run last: it takes the shared daemon down *)
 
 let test_sigterm_drains () =
@@ -1600,6 +1657,11 @@ let () =
             test_slow_reader_dropped;
           Alcotest.test_case "drain answers queued waiters" `Quick
             test_drain_with_waiters;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "explain beside in-flight designs = CLI --json"
+            `Quick test_explain_beside_designs;
         ] );
       ( "shutdown",
         [
