@@ -6,6 +6,8 @@
    Skip the timing pass with: dune exec bench/main.exe -- --no-timing
    Print only one artifact:
      dune exec bench/main.exe -- table1|fig6|fig7|fig8|ablations|speedup
+   Time only the CTMC solver backends on Engine B's chains:
+     dune exec bench/main.exe -- solvers
    Write the machine-readable search benchmark (BENCH_search.json):
      dune exec bench/main.exe -- json *)
 
@@ -395,6 +397,49 @@ let run_ablations () =
 (* ------------------------------------------------------------------ *)
 (* Timing *)
 
+(* Every stationary backend, and the auto-selected one, on Engine B's
+   chains of the e-commerce application tier (resource rC, gold
+   maintenance, one spare, four chain classes): 35, 126, 330 and 715
+   states. These are the timings behind the 2048-state dense limit of
+   [Ctmc.select_backend]. *)
+let solver_tests () =
+  let open Bechamel in
+  let module Ctmc = Aved_markov.Ctmc in
+  let infra = Aved.Experiments.infrastructure () in
+  let option =
+    List.find
+      (fun (o : Aved_model.Service.resource_option) -> o.resource = "rC")
+      (Aved.Experiments.application_tier ()).options
+  in
+  List.concat_map
+    (fun n_active ->
+      let design =
+        Aved_model.Design.tier_design ~tier_name:"application" ~resource:"rC"
+          ~n_active ~n_spare:1
+          ~mechanism_settings:
+            [ ("maintenanceA", [ ("level", Aved_model.Mechanism.Enum_value "gold") ]) ]
+          ()
+      in
+      let chain =
+        Aved_avail.Exact.chain
+          (Aved_avail.Tier_model.build ~infra ~option ~design ~demand:(Some 300.))
+      in
+      List.map
+        (fun (name, solve) ->
+          Test.make
+            ~name:
+              (Printf.sprintf "markov: %s stationary (%d states)" name
+                 (Ctmc.num_states chain))
+            (Staged.stage (fun () -> ignore (solve chain))))
+        [
+          ("gth", Ctmc.stationary_gth);
+          ("banded", Ctmc.stationary_with Ctmc.Banded);
+          ("lu", Ctmc.stationary_lu);
+          ( "auto=" ^ Ctmc.backend_name (Ctmc.select_backend chain),
+            Ctmc.stationary );
+        ])
+    [ 2; 4; 6; 8 ]
+
 let bench_tests () =
   let open Bechamel in
   let infra = Aved.Experiments.infrastructure () in
@@ -526,10 +571,9 @@ let bench_tests () =
                 ~job_size:Aved.Experiments.scientific_job_size
                 ~max_time:(Duration.of_hours 100.))))
   in
-  [
-    table1; fig6; fig7; fig8; gth; spec_parse; monte_carlo;
-    parallel 1; parallel 4; memo `Plain; memo `Memo;
-  ]
+  [ table1; fig6; fig7; fig8; gth ]
+  @ solver_tests ()
+  @ [ spec_parse; monte_carlo; parallel 1; parallel 4; memo `Plain; memo `Memo ]
 
 (* One wall-clock readout of the parallel search, so logs carry the
    measured ratio next to the core count it was measured on. *)
@@ -553,7 +597,7 @@ let run_parallel_speedup () =
     print_endline
       "(single-core host: jobs=4 measures pool overhead, not speedup)"
 
-let run_timing () =
+let run_timing tests =
   let open Bechamel in
   section "Timing (Bechamel, monotonic clock)";
   let instance = Toolkit.Instance.monotonic_clock in
@@ -582,7 +626,7 @@ let run_timing () =
               Printf.printf "%-52s %s/run\n%!" name pretty
           | Some _ | None -> Printf.printf "%-52s (no estimate)\n%!" name)
         results)
-    (bench_tests ())
+    tests
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -597,7 +641,8 @@ let () =
   if want "fig8" then print_fig8 ();
   if want "ablations" then run_ablations ();
   if want "speedup" && only <> [] then run_parallel_speedup ();
+  if List.mem "solvers" only then run_timing (solver_tests ());
   if timing && only = [] then (
     run_parallel_speedup ();
-    run_timing ())
+    run_timing (bench_tests ()))
   end

@@ -122,7 +122,7 @@ let chain ?(max_states = 20000) (model : Tier_model.t) =
    RATES carry the model parameters. So the state enumeration, the index
    and the transition list are cached per (j, n_total) — and with them a
    {!Ctmc.Solver} whose compiled sparse structure is updated in place
-   and re-solved warm-started when the next model reuses the shape. *)
+   and re-solved when the next model reuses the shape. *)
 type skeleton_transition = {
   src : int;
   dst : int;

@@ -45,8 +45,10 @@ val annual_downtime : ?max_states:int -> Tier_model.t -> Aved_units.Duration.t
     class count and the total resource count, so the engine caches the
     state enumeration and compiled sparse chain per (j, N) in
     domain-local storage. A model that reuses a cached shape only
-    rewrites rates in place and re-solves warm-started from the previous
-    stationary vector ({!Aved_markov.Ctmc.Solver}). *)
+    rewrites rates in place and re-solves ({!Aved_markov.Ctmc.Solver}).
+    Up to 2048 states that re-solve is an elimination, so a model's
+    answer is bitwise the same whichever models the domain solved
+    before. *)
 
 type solver_counters = {
   fresh : int;  (** solves that built and compiled a new state space *)

@@ -291,32 +291,51 @@ let power_csr ?start csr ~tol ~max_iters =
 
 type backend = Gth | Banded | Power | Lu
 
+(* Largest chain solved by elimination: its n² dense workspace is then at
+   most 32 MiB per domain. Below it, GTH is exact to rounding and, on the
+   stiff chains availability models produce (failures in days, repairs
+   in minutes), far faster than power iteration, which on those chains
+   runs out its budget and ends in elimination anyway. *)
+let dense_limit = 2048
+
 (* Backend choice by structure. Dense and banded GTH give bitwise
    identical results, so the split between them is purely a speed
-   heuristic; power iteration is reserved for chains too large for an
-   O(n³) elimination, where it agrees with GTH to solver tolerance. *)
+   heuristic; power iteration is reserved for chains too large for the
+   dense workspace, where it agrees with GTH to solver tolerance. *)
 let select_backend_csr csr =
   let n = Sparse.num_states csr in
   let b = Sparse.bandwidth csr in
   if n > 32 && (2 * b) + 1 <= n / 6 then Banded
-  else if n <= 256 then Gth
-  else if Sparse.density csr < 0.02 then Power
-  else Gth
+  else if n <= dense_limit then Gth
+  else Power
 
 let select_backend t = select_backend_csr (compile t)
 
 let default_power_tol = 1e-12
 let default_power_iters n = 10_000 + (200 * n)
 
-let solve_csr backend csr =
+let bump atomic tm =
+  Atomic.incr atomic;
+  if Telemetry.enabled () then Telemetry.Counter.incr tm
+
+let fallback_counter = Atomic.make 0
+let tm_fallback = Telemetry.Counter.make "markov.solver.fallback"
+
+(* [start] seeds power iteration (the previous solution of a re-solve);
+   the elimination backends have no use for it. When power iteration
+   exhausts its budget, GTH finishes the solve. *)
+let solve_csr ?start backend csr =
   match backend with
   | Gth -> gth_csr csr
   | Banded -> gth_banded_csr csr ~half_bandwidth:(Sparse.bandwidth csr)
   | Power -> (
       let n = Sparse.num_states csr in
       try
-        power_csr csr ~tol:default_power_tol ~max_iters:(default_power_iters n)
-      with Failure _ -> gth_csr csr)
+        power_csr ?start csr ~tol:default_power_tol
+          ~max_iters:(default_power_iters n)
+      with Failure _ ->
+        bump fallback_counter tm_fallback;
+        gth_csr csr)
   | Lu -> assert false (* dispatched before solve_csr *)
 
 let backend_name = function
@@ -325,23 +344,36 @@ let backend_name = function
   | Power -> "power"
   | Lu -> "lu"
 
-let with_solve_telemetry counter histogram ~backend t f =
+let with_solve_telemetry ~backend ~n f =
+  let counter, histogram =
+    match backend with
+    | Gth -> (gth_solves, Some gth_seconds)
+    | Banded -> (banded_solves, None)
+    | Power -> (power_solves, None)
+    | Lu -> (lu_solves, Some lu_seconds)
+  in
   Telemetry.with_trace_span ("markov.solve." ^ backend_name backend)
   @@ fun () ->
   if Telemetry.enabled () then begin
     Telemetry.Counter.incr counter;
-    Telemetry.Histogram.observe solve_states (float_of_int t.n);
+    Telemetry.Histogram.observe solve_states (float_of_int n);
     match histogram with
     | Some h -> Telemetry.Histogram.time h f
     | None -> f ()
   end
   else f ()
 
-let stationary_gth t =
+(* A solve of a compiled, ergodicity-checked chain by [backend]. *)
+let solve_checked ?start backend csr =
+  with_solve_telemetry ~backend ~n:(Sparse.num_states csr) (fun () ->
+      solve_csr ?start backend csr)
+
+let checked t =
   let csr = compile t in
   check_ergodic csr;
-  with_solve_telemetry gth_solves (Some gth_seconds) ~backend:Gth t (fun () ->
-      gth_csr csr)
+  csr
+
+let stationary_gth t = solve_checked Gth (checked t)
 
 let lu_kernel t =
   let n = t.n in
@@ -354,43 +386,26 @@ let lu_kernel t =
   Matrix.solve a b
 
 let stationary_lu t =
-  check_ergodic (compile t);
-  with_solve_telemetry lu_solves (Some lu_seconds) ~backend:Lu t (fun () ->
-      lu_kernel t)
+  ignore (checked t);
+  with_solve_telemetry ~backend:Lu ~n:t.n (fun () -> lu_kernel t)
 
 let stationary_power ?start ?(tol = default_power_tol) ?max_iters t =
-  let csr = compile t in
-  check_ergodic csr;
+  let csr = checked t in
   let max_iters =
     match max_iters with Some m -> m | None -> default_power_iters t.n
   in
-  with_solve_telemetry power_solves None ~backend:Power t (fun () ->
+  with_solve_telemetry ~backend:Power ~n:t.n (fun () ->
       power_csr ?start csr ~tol ~max_iters)
 
 let stationary_with backend t =
   match backend with
-  | Gth -> stationary_gth t
   | Lu -> stationary_lu t
   | Power -> stationary_power t
-  | Banded ->
-      let csr = compile t in
-      check_ergodic csr;
-      with_solve_telemetry banded_solves None ~backend:Banded t (fun () ->
-          gth_banded_csr csr ~half_bandwidth:(Sparse.bandwidth csr))
+  | Gth | Banded -> solve_checked backend (checked t)
 
 let stationary t =
-  let csr = compile t in
-  check_ergodic csr;
-  let backend = select_backend_csr csr in
-  let counter, histogram =
-    match backend with
-    | Gth -> (gth_solves, Some gth_seconds)
-    | Banded -> (banded_solves, None)
-    | Power -> (power_solves, None)
-    | Lu -> (lu_solves, Some lu_seconds)
-  in
-  with_solve_telemetry counter histogram ~backend t (fun () ->
-      solve_csr backend csr)
+  let csr = checked t in
+  solve_checked (select_backend_csr csr) csr
 
 module Solver = struct
   type chain = t
@@ -403,16 +418,10 @@ module Solver = struct
 
   let fresh_counter = Atomic.make 0
   let incremental_counter = Atomic.make 0
-  let fallback_counter = Atomic.make 0
   let cached_counter = Atomic.make 0
   let tm_fresh = Telemetry.Counter.make "markov.solver.fresh"
   let tm_incremental = Telemetry.Counter.make "markov.solver.incremental"
-  let tm_fallback = Telemetry.Counter.make "markov.solver.fallback"
   let tm_cached = Telemetry.Counter.make "markov.solver.cached"
-
-  let bump atomic tm =
-    Atomic.incr atomic;
-    if Telemetry.enabled () then Telemetry.Counter.incr tm
 
   type counters = {
     fresh : int;
@@ -435,10 +444,7 @@ module Solver = struct
     Atomic.set fallback_counter 0;
     Atomic.set cached_counter 0
 
-  let create chain =
-    let csr = compile chain in
-    check_ergodic csr;
-    { csr; pi = None; dirty = true }
+  let create chain = { csr = checked chain; pi = None; dirty = true }
 
   let num_states t = Sparse.num_states t.csr
 
@@ -458,40 +464,19 @@ module Solver = struct
           t.dirty <- true
         end
 
-  (* A perturbed chain's stationary vector is close to the previous one,
-     so a handful of warm-started power sweeps usually reach an ‖πQ‖∞
-     residual far below what any downstream consumer can observe. When
-     they do not (large perturbation, unlucky spectrum), fall back to a
-     fresh elimination rather than loop. *)
-  let refine_tol = 1e-13
-  let refine_iters = 400
-
+  (* A re-solve is the same solve as a first one, on the updated rates;
+     only power iteration (above the dense limit) starts from the
+     previous vector. *)
   let solve t =
     match t.pi with
     | Some pi when not t.dirty ->
         bump cached_counter tm_cached;
         Array.copy pi
     | previous ->
+        if Option.is_none previous then bump fresh_counter tm_fresh
+        else bump incremental_counter tm_incremental;
         let pi =
-          match previous with
-          | Some warm -> (
-              try
-                let refined =
-                  Telemetry.with_trace_span "markov.solver.incremental"
-                    (fun () ->
-                      power_csr ~start:warm t.csr ~tol:refine_tol
-                        ~max_iters:refine_iters)
-                in
-                bump incremental_counter tm_incremental;
-                refined
-              with Failure _ ->
-                bump fallback_counter tm_fallback;
-                Telemetry.with_trace_span "markov.solver.fallback" (fun () ->
-                    solve_csr (select_backend_csr t.csr) t.csr))
-          | None ->
-              bump fresh_counter tm_fresh;
-              Telemetry.with_trace_span "markov.solver.fresh" (fun () ->
-                  solve_csr (select_backend_csr t.csr) t.csr)
+          solve_checked ?start:previous (select_backend_csr t.csr) t.csr
         in
         t.pi <- Some pi;
         t.dirty <- false;

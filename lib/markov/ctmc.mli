@@ -7,12 +7,15 @@
 
     Stationary analysis compiles the chain into a compressed sparse-row
     form ({!Sparse}) once per solve, runs a structural ergodicity check,
-    and picks a backend by structure: dense GTH elimination for small
-    chains, a banded elimination (bitwise identical to the dense one)
-    when the transition structure is narrow, and uniformized power
-    iteration for large sparse chains. The dense kernels stage their
-    working set in the per-domain {!Aved_linalg.Workspace}, so a steady
-    stream of solves allocates little beyond the result vectors. *)
+    and picks a backend by structure: elimination for every chain of at
+    most 2048 states — banded GTH when the transition structure is
+    narrow, dense GTH otherwise, with bitwise identical results — and
+    uniformized power iteration only above that. Elimination is exact to
+    rounding whatever the stiffness of the chain; the 2048-state cap
+    bounds the dense workspace at 32 MiB per domain. The kernels stage
+    their working set in the per-domain {!Aved_linalg.Workspace}, so a
+    steady stream of solves allocates little beyond the result
+    vectors. *)
 
 type t
 (** A finite CTMC with states numbered [0 .. num_states - 1]. *)
@@ -53,13 +56,19 @@ type backend = Gth | Banded | Power | Lu
     identical results; [Power] and [Lu] agree with them to solver
     tolerance. [Lu] is never auto-selected. *)
 
+val backend_name : backend -> string
+(** The [<backend>] of [markov.solve.<backend>] spans and
+    [markov.<backend>.solves] counters: ["gth"], ["banded"], ... *)
+
 val select_backend : t -> backend
 (** The backend {!stationary} would use for this chain: [Banded] when
-    the bandwidth is narrow relative to the state count, [Gth] for small
-    or dense chains, [Power] for large sparse ones. *)
+    the bandwidth is narrow relative to the state count (half-bandwidth
+    [b] with [2b + 1 <= n / 6] on more than 32 states), else [Gth] up to
+    2048 states and [Power] above. *)
 
 val stationary : t -> Aved_linalg.Vector.t
-(** Stationary distribution via the auto-selected backend. Raises
+(** Stationary distribution via the auto-selected backend; a [Power]
+    solve whose iteration budget runs out is finished by GTH. Raises
     {!Non_ergodic} as described there. *)
 
 val stationary_with : backend -> t -> Aved_linalg.Vector.t
@@ -84,16 +93,20 @@ val stationary_power :
   Aved_linalg.Vector.t
 (** Stationary distribution by uniformized power iteration, accepted
     when ‖πQ‖∞ ≤ [tol]·Λ (Λ = 1.02 × the largest exit rate; [tol]
-    defaults to 1e-12). [start] warm-starts the iteration — the basis of
-    incremental re-solving. Raises [Failure] when the iteration budget
-    is exhausted before the residual test passes. *)
+    defaults to 1e-12). [start] warm-starts the iteration, as a
+    {!Solver} re-solve above the 2048-state cap does. Raises [Failure]
+    when the iteration budget is exhausted before the residual test
+    passes. *)
 
 (** Incremental stationary solving for a chain whose transition
     {e structure} is fixed while individual rates change — the shape
     produced by perturbing one model parameter. The CSR form is compiled
-    once; {!Solver.update_rate} edits rates in place and the next
-    {!Solver.solve} warm-starts from the previous solution, falling back
-    to a fresh elimination when refinement does not converge. *)
+    and checked for ergodicity once; {!Solver.update_rate} edits rates in
+    place and the next {!Solver.solve} runs the same backend {!stationary}
+    would on the updated chain. Below the 2048-state cap the answer is
+    therefore bitwise that of a fresh {!stationary} call, whatever rates
+    were solved before; above it, power iteration starts from the
+    previous solution. *)
 module Solver : sig
   type chain = t
   type t
@@ -114,12 +127,16 @@ module Solver : sig
   val solve : t -> Aved_linalg.Vector.t
   (** The stationary distribution for the current rates. Returns a fresh
       copy; caches internally, so calling it twice without an
-      intervening rate change is O(n). *)
+      intervening rate change is O(n). A solve is recorded like a
+      {!stationary} one: a [markov.solve.<backend>] trace span and the
+      [markov.<backend>.solves] counter. *)
 
   type counters = {
-    fresh : int;  (** solves from scratch (first solve of a structure) *)
-    incremental : int;  (** warm-started refinements that converged *)
-    fallback : int;  (** refinements that fell back to elimination *)
+    fresh : int;  (** first solves of a structure *)
+    incremental : int;  (** re-solves after a rate change *)
+    fallback : int;
+        (** auto-selected power solves, by {!stationary} or {!solve},
+            whose budget ran out so that GTH finished them *)
     cached : int;  (** solves answered from the cached vector *)
   }
 

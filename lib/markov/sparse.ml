@@ -55,10 +55,6 @@ let bandwidth t =
   done;
   !b
 
-let density t =
-  if t.n <= 1 then 0.
-  else float_of_int (nnz t) /. (float_of_int t.n *. float_of_int (t.n - 1))
-
 let check_state t s =
   if s < 0 || s >= t.n then
     invalid_arg (Printf.sprintf "Sparse: state %d out of [0, %d)" s t.n)

@@ -2,9 +2,9 @@
 
     Built once per chain from the hash-table adjacency of {!Ctmc}, it
     gives the solvers cache-friendly iteration, O(log degree) slot
-    lookup for in-place rate updates, and the structural measures
-    (bandwidth, density) that drive backend selection. Column indices
-    are sorted within each row; every stored rate is positive. *)
+    lookup for in-place rate updates, and the bandwidth that drives
+    backend selection. Column indices are sorted within each row; every
+    stored rate is positive. *)
 
 type t
 
@@ -20,9 +20,6 @@ val nnz : t -> int
 val bandwidth : t -> int
 (** Largest [|src - dst|] over the stored transitions; [0] for a chain
     with no transitions. *)
-
-val density : t -> float
-(** [nnz / (n * (n - 1))] — the filled fraction of the off-diagonal. *)
 
 val exit_rate : t -> int -> float
 (** Sum of the outgoing rates of a state, in column order. *)

@@ -1,7 +1,8 @@
 (* End-to-end smoke tests of the aved executable: error paths must exit
-   with status 1 and a single line on stderr, and the telemetry flags
-   must produce a stats summary and a Chrome-loadable trace. The tests
-   run from _build/default/test, next to ../bin/main.exe. *)
+   with status 1 and a single line on stderr, the telemetry flags must
+   produce a stats summary and a Chrome-loadable trace, and validate
+   must reproduce its golden output. The tests run from
+   _build/default/test, next to ../bin/main.exe. *)
 
 let aved = Filename.concat (Filename.concat ".." "bin") "main.exe"
 
@@ -201,6 +202,15 @@ let test_frontier_explain_is_superset () =
   Alcotest.(check bool) "has at least one annotation" true
     (contains explained "    ^ ")
 
+(* validate pins Engines A, B (exact CTMC) and C (simulation) end to
+   end on the built-in scenario: byte for byte the checked-in golden. *)
+let test_validate_golden () =
+  let status, stdout, _ = run_aved "validate --jobs 1" in
+  Alcotest.(check int) "exit status" 0 status;
+  Alcotest.(check string) "golden/validate.txt"
+    (read_file (Filename.concat "golden" "validate.txt"))
+    stdout
+
 let () =
   Alcotest.run "cli"
     [
@@ -227,4 +237,6 @@ let () =
           Alcotest.test_case "frontier --explain is additive" `Quick
             test_frontier_explain_is_superset;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "validate output" `Quick test_validate_golden ] );
     ]

@@ -5,13 +5,17 @@
    fast; this suite pins them to the dense LU reference on randomly
    generated ergodic chains so a speed optimization can never silently
    change the numbers. Chains are generated from fixed seeds — failures
-   reproduce. *)
+   reproduce. Engine B's own chains are stiff (failures in days, repairs
+   in minutes), which random rates never are, so they get a sweep of
+   their own that demands elimination-exact answers. *)
 
 module Ctmc = Aved_markov.Ctmc
 module Matrix = Aved_linalg.Matrix
 module Vector = Aved_linalg.Vector
 module Duration = Aved_units.Duration
 module Avail = Aved_avail
+module Telemetry = Aved_telemetry.Telemetry
+module Trace = Telemetry.Trace
 
 let backends = [ ("gth", Ctmc.Gth); ("banded", Ctmc.Banded); ("power", Ctmc.Power); ("lu", Ctmc.Lu) ]
 
@@ -110,6 +114,105 @@ let test_backend_invariants () =
     (sweep_chains ())
 
 (* ------------------------------------------------------------------ *)
+(* Stiff availability chains: Engine B's multi-mode chains of the
+   e-commerce application tier (resource rC of the Fig. 3 spec). Its
+   four chain classes fail every 60-650 days and repair in 2 minutes to
+   38 hours. Each shape comes in two maintenance levels, so a solver
+   built on one can be re-solved on the other. *)
+
+let rc_model ~classes ~level ~n_active ~n_spare =
+  let infra = Aved.Experiments.infrastructure () in
+  let tier =
+    Option.get
+      (Aved_model.Service.find_tier (Aved.Experiments.ecommerce ()) "application")
+  in
+  let option =
+    List.find
+      (fun (o : Aved_model.Service.resource_option) -> o.resource = "rC")
+      tier.options
+  in
+  let design =
+    Aved_model.Design.tier_design ~tier_name:"application" ~resource:"rC"
+      ~n_active ~n_spare
+      ~mechanism_settings:
+        [ ("maintenanceA", [ ("level", Aved_model.Mechanism.Enum_value level) ]) ]
+      ()
+  in
+  let m = Avail.Tier_model.build ~infra ~option ~design ~demand:(Some 300.) in
+  { m with classes = List.filteri (fun i _ -> i < classes) m.classes }
+
+let rc_chain ~classes ~level ~n_active ~n_spare =
+  Avail.Exact.chain (rc_model ~classes ~level ~n_active ~n_spare)
+
+(* (classes, n_active, n_spare): 136, 351 and 703 states with two
+   classes (the machine's hard and soft failures; the larger two select
+   banded GTH), 126, 330 and 715 with all four (dense GTH). *)
+let stiff_shapes =
+  [ (2, 14, 1); (2, 23, 2); (2, 35, 1); (4, 4, 1); (4, 6, 1); (4, 8, 1) ]
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Elimination is the answer on these chains: the auto-selected solve,
+   forced banded GTH and a re-solve of a solver built on the other
+   maintenance level all reproduce dense GTH bit for bit, and dense LU
+   agrees to 1e-12. Power iteration is left out: on chains this stiff it
+   exhausts its budget, which is why it is not selected for them. *)
+let test_stiff_chains () =
+  List.iter
+    (fun (classes, n_active, n_spare) ->
+      let chain = rc_chain ~classes ~level:"gold" ~n_active ~n_spare in
+      let n = Ctmc.num_states chain in
+      let gth = Ctmc.stationary_gth chain in
+      let exact name pi =
+        if not (bits_equal pi gth) then
+          Alcotest.failf "%d states: %s differs from gth by %.3e" n name
+            (Vector.max_abs_diff pi gth)
+      in
+      exact "stationary" (Ctmc.stationary chain);
+      exact "banded" (Ctmc.stationary_with Ctmc.Banded chain);
+      let solver =
+        Ctmc.Solver.create (rc_chain ~classes ~level:"bronze" ~n_active ~n_spare)
+      in
+      ignore (Ctmc.Solver.solve solver);
+      List.iter
+        (fun (src, dst, rate) -> Ctmc.Solver.update_rate solver ~src ~dst ~rate)
+        (Ctmc.transitions chain);
+      exact "re-solve after rate updates" (Ctmc.Solver.solve solver);
+      let lu = Vector.max_abs_diff gth (Ctmc.stationary_lu chain) in
+      if lu > 1e-12 then
+        Alcotest.failf "%d states: gth differs from lu by %.3e" n lu)
+    stiff_shapes
+
+(* Elimination up to 2048 states, power iteration only above: the
+   e-commerce chains the audit solves stay on GTH. *)
+let test_backend_selection () =
+  let backend =
+    Alcotest.testable
+      (fun ppf b -> Format.pp_print_string ppf (Ctmc.backend_name b))
+      ( = )
+  in
+  List.iter
+    (fun (n_active, n_spare, states) ->
+      let chain = rc_chain ~classes:4 ~level:"gold" ~n_active ~n_spare in
+      Alcotest.(check int) "state count" states (Ctmc.num_states chain);
+      Alcotest.check backend
+        (Printf.sprintf "%d-state e-commerce chain" states)
+        Ctmc.Gth (Ctmc.select_backend chain))
+    [ (6, 1, 330); (8, 1, 715) ];
+  let st = Random.State.make [| 0x5e1; 2048 |] in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.check backend
+        (Printf.sprintf "sparse %d-state chain" n)
+        expected
+        (Ctmc.select_backend (rand_chain st ~n ~extra:n)))
+    [ (2048, Ctmc.Gth); (2049, Ctmc.Power); (3000, Ctmc.Power) ]
+
+(* ------------------------------------------------------------------ *)
 (* Ill-posed chains: every backend (and the incremental solver) must
    reject them with the same typed error, never return garbage. *)
 
@@ -152,8 +255,8 @@ let test_non_ergodic_rejected () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental solving: perturb one rate at a time; the warm-started
-   solver must track a from-scratch dense solve of the same chain. *)
+(* Incremental solving: perturb one rate at a time; the re-solve must
+   be bitwise a from-scratch solve of the same chain. *)
 
 let test_incremental_vs_fresh () =
   let st = Random.State.make [| 0x1234; 7 |] in
@@ -172,6 +275,9 @@ let test_incremental_vs_fresh () =
       (fun (src, dst, rate) -> Ctmc.add_transition fresh ~src ~dst ~rate)
       transitions;
     let incremental = Ctmc.Solver.solve solver in
+    if not (bits_equal incremental (Ctmc.stationary fresh)) then
+      Alcotest.failf "step %d: incremental differs from a fresh stationary"
+        step;
     let reference = Ctmc.stationary_lu fresh in
     let diff = Vector.max_abs_diff incremental reference in
     if diff > 1e-9 then
@@ -191,9 +297,36 @@ let test_solver_counters_move () =
   let c = Ctmc.Solver.counters () in
   Alcotest.(check bool) "a fresh solve happened" true (c.fresh >= 1);
   Alcotest.(check bool) "the repeat was served from cache" true (c.cached >= 1);
-  Alcotest.(check bool)
-    "the rate update re-solved without a fresh build" true
-    (c.incremental + c.fallback >= 1)
+  Alcotest.(check int) "the rate update re-solved without a fresh build" 1
+    c.incremental;
+  Alcotest.(check int) "no power budget ran out" 0 c.fallback
+
+(* Above the dense limit a re-solve is power iteration started from the
+   previous vector: it must still meet the solver's residual test, so
+   it agrees with a cold power solve of the same chain. *)
+let test_power_warm_start () =
+  Ctmc.Solver.reset_counters ();
+  let st = Random.State.make [| 0xbeef; 9 |] in
+  let n = 2100 in
+  let chain = rand_chain st ~n ~extra:n in
+  let solver = Ctmc.Solver.create chain in
+  ignore (Ctmc.Solver.solve solver);
+  let src, dst, _ = List.hd (Ctmc.transitions chain) in
+  Ctmc.Solver.update_rate solver ~src ~dst ~rate:3.5;
+  let warm = Ctmc.Solver.solve solver in
+  let perturbed = Ctmc.create n in
+  List.iter
+    (fun (s, d, rate) ->
+      Ctmc.add_transition perturbed ~src:s ~dst:d
+        ~rate:(if s = src && d = dst then 3.5 else rate))
+    (Ctmc.transitions chain);
+  let diff = Vector.max_abs_diff warm (Ctmc.stationary_power perturbed) in
+  if diff > 1e-9 then
+    Alcotest.failf "warm-started power differs from cold by %.3e" diff;
+  let c = Ctmc.Solver.counters () in
+  Alcotest.(check (pair int int)) "fresh, incremental" (1, 1)
+    (c.fresh, c.incremental);
+  Alcotest.(check int) "converged without elimination" 0 c.fallback
 
 (* ------------------------------------------------------------------ *)
 (* The exact availability engine rides the same solver: perturbing one
@@ -245,9 +378,78 @@ let test_exact_incremental_vs_fresh () =
   let cold =
     Avail.Exact.downtime_fraction (synthetic_model ~mttr_hours:11. ~n_active:5)
   in
-  let diff = Float.abs (warm -. cold) in
-  if diff > 1e-9 then
-    Alcotest.failf "exact warm %.17g vs cold %.17g (diff %.3e)" warm cold diff
+  if not (bits_equal [| warm |] [| cold |]) then
+    Alcotest.failf "exact warm %.17g vs cold %.17g" warm cold
+
+(* A model's answer does not depend on what the domain solved before:
+   model Y after X (same (j, N) shape, so Y re-solves X's skeleton)
+   is bitwise Y alone, on a 330-state e-commerce chain. *)
+let test_exact_history_independent () =
+  let x = rc_model ~classes:4 ~level:"bronze" ~n_active:6 ~n_spare:1 in
+  let y = rc_model ~classes:4 ~level:"platinum" ~n_active:5 ~n_spare:2 in
+  Avail.Exact.reset_solver_cache ();
+  let alone = Avail.Exact.downtime_fraction y in
+  Avail.Exact.reset_solver_cache ();
+  ignore (Avail.Exact.downtime_fraction x);
+  let after_x = Avail.Exact.downtime_fraction y in
+  Alcotest.(check int) "y re-solved x's skeleton" 1
+    (Avail.Exact.solver_counters ()).incremental;
+  if not (bits_equal [| alone |] [| after_x |]) then
+    Alcotest.failf "y alone %.17g vs after x %.17g" alone after_x
+
+(* Engine B's solves are recorded like any stationary solve: a
+   markov.solve.gth span under each avail.engine.exact span, the gth
+   solve counter and the state-count histogram, with the solver
+   counters telling the first solve of the shape from the re-solve. *)
+let test_exact_solves_observed () =
+  let registry = Telemetry.create () in
+  Telemetry.with_registry registry @@ fun () ->
+  Avail.Exact.reset_solver_cache ();
+  Ctmc.Solver.reset_counters ();
+  let tr = Trace.create ~trace_id:"e8" () in
+  let root = Trace.alloc_span_id tr in
+  Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
+      List.iter
+        (fun level ->
+          ignore
+            (Avail.Evaluate.tier_downtime_fraction
+               (Avail.Evaluate.Exact { max_states = 20000 })
+               (rc_model ~classes:4 ~level ~n_active:6 ~n_spare:1)))
+        [ "gold"; "silver" ]);
+  let spans = Trace.spans tr in
+  let named name = List.filter (fun sp -> sp.Trace.name = name) spans in
+  let engines = List.map (fun sp -> sp.Trace.id) (named "avail.engine.exact") in
+  let solves = named "markov.solve.gth" in
+  Alcotest.(check int) "engine spans" 2 (List.length engines);
+  Alcotest.(check int) "solve spans" 2 (List.length solves);
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool) "solve span under an engine span" true
+        (List.mem sp.Trace.parent engines))
+    solves;
+  Alcotest.(check (list string)) "no other markov spans" []
+    (List.filter_map
+       (fun sp ->
+         let name = sp.Trace.name in
+         if
+           String.starts_with ~prefix:"markov." name
+           && name <> "markov.solve.gth"
+         then Some name
+         else None)
+       spans);
+  let counter = Telemetry.Counter.read_by_name registry in
+  Alcotest.(check (list int)) "gth solves, fresh, incremental, fallback"
+    [ 2; 1; 1; 0 ]
+    (List.map counter
+       [
+         "markov.gth.solves"; "markov.solver.fresh";
+         "markov.solver.incremental"; "markov.solver.fallback";
+       ]);
+  match List.assoc_opt "markov.solve.states" (Telemetry.histograms registry) with
+  | Some h ->
+      Alcotest.(check (pair int (float 0.))) "states observed" (2, 330.)
+        (h.count, h.max)
+  | None -> Alcotest.fail "markov.solve.states not observed"
 
 let () =
   Alcotest.run "solver_equivalence"
@@ -256,6 +458,9 @@ let () =
         [
           Alcotest.test_case "all backends vs dense LU" `Quick
             test_backends_vs_lu;
+          Alcotest.test_case "stiff availability chains" `Quick
+            test_stiff_chains;
+          Alcotest.test_case "backend selection" `Quick test_backend_selection;
         ] );
       ( "invariants",
         [
@@ -270,7 +475,13 @@ let () =
             test_incremental_vs_fresh;
           Alcotest.test_case "solver counters" `Quick
             test_solver_counters_move;
+          Alcotest.test_case "power warm start above the dense limit" `Quick
+            test_power_warm_start;
           Alcotest.test_case "exact engine warm vs cold" `Quick
             test_exact_incremental_vs_fresh;
+          Alcotest.test_case "exact engine history independence" `Quick
+            test_exact_history_independent;
+          Alcotest.test_case "exact engine solves observed" `Quick
+            test_exact_solves_observed;
         ] );
     ]
