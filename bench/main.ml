@@ -77,10 +77,8 @@ let json_search_benchmark () =
   let config =
     Search.Search_config.default
     |> Search.Search_config.with_jobs jobs
-    |> Search.Search_config.with_memo
   in
   let measure name f =
-    Search.Eval_cache.reset_downtime_counters ();
     let t = Telemetry.create () in
     Telemetry.install t;
     let t0 = Unix.gettimeofday () in
@@ -96,9 +94,8 @@ let json_search_benchmark () =
           ignore
             (Aved.Figures.fig7
                ~config:
-                 (Search.Search_config.with_memo
-                    (Search.Search_config.with_jobs jobs
-                       Aved.Experiments.fig7_config))
+                 (Search.Search_config.with_jobs jobs
+                    Aved.Experiments.fig7_config)
                ()));
       measure "fig8" (fun () -> ignore (Aved.Figures.fig8 ~config ()));
     ]
@@ -137,24 +134,17 @@ let json_search_benchmark () =
       let generated = counter "search.candidates.generated" in
       let evaluated = counter "search.candidates.evaluated" in
       let pruned = counter "search.candidates.pruned_by_incumbent" in
-      let hits = counter "avail.memo.hits" in
-      let misses = counter "avail.memo.misses" in
-      let lookups = hits + misses in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"wall_seconds\": %.6f, \
             \"candidates_generated\": %d, \"candidates_evaluated\": %d, \
             \"candidates_pruned\": %d, \"candidates_per_second\": %.1f, \
-            \"memo_hits\": %d, \"memo_misses\": %d, \
-            \"memo_hit_rate\": %.4f, \
             \"downtime_fresh\": %d, \"downtime_reused\": %d, \
             \"solver_fresh\": %d, \"solver_incremental\": %d, \
             \"solver_fallback\": %d, \"solver_cached\": %d, \
             \"exact_fresh\": %d, \"exact_incremental\": %d}%s\n"
            name wall generated evaluated pruned
            (float_of_int evaluated /. Float.max 1e-9 wall)
-           hits misses
-           (float_of_int hits /. Float.max 1. (float_of_int lookups))
            (counter "search.eval.downtime.fresh")
            (counter "search.eval.downtime.reused")
            (counter "markov.solver.fresh")
@@ -551,29 +541,9 @@ let bench_tests () =
                 ~config:(Search.Search_config.with_jobs jobs config)
                 ~loads:sweep_loads ())))
   in
-  (* Evaluation memo: the Fig. 7 settings grid revisits the same
-     resolved tier model across checkpoint intervals; the cache turns
-     repeat evaluations into hash lookups. A fresh cache per run keeps
-     the measurement cold-start honest. *)
-  let memo engine_of_config =
-    Test.make
-      ~name:
-        (Printf.sprintf "memo: fig7 search (100 h), %s engine"
-           (match engine_of_config with `Plain -> "plain" | `Memo -> "memoized"))
-      (Staged.stage (fun () ->
-           let config =
-             match engine_of_config with
-             | `Plain -> Aved.Experiments.fig7_config
-             | `Memo -> Search.Search_config.with_memo Aved.Experiments.fig7_config
-           in
-           ignore
-             (Search.Job_search.optimal config bronze_infra ~tier:sci_tier
-                ~job_size:Aved.Experiments.scientific_job_size
-                ~max_time:(Duration.of_hours 100.))))
-  in
   [ table1; fig6; fig7; fig8; gth ]
   @ solver_tests ()
-  @ [ spec_parse; monte_carlo; parallel 1; parallel 4; memo `Plain; memo `Memo ]
+  @ [ spec_parse; monte_carlo; parallel 1; parallel 4 ]
 
 (* One wall-clock readout of the parallel search, so logs carry the
    measured ratio next to the core count it was measured on. *)

@@ -6,7 +6,7 @@
 
    - cold: one connection walks the full design/frontier grid against a
      fresh server — first-request latency before any spec cache or
-     availability memo is warm. Reported separately so cache warmup is
+     evaluation cache is warm. Reported separately so cache warmup is
      never laundered into the steady-state numbers.
    - warm: the headline — [--conns] connections (default 100) in a
      sustained closed loop for [--duration] seconds, cycling a small
@@ -390,11 +390,6 @@ type outcome = {
   herd_coalesced : int;
   herd_underlying : int;
   slo_budget_ms : float;
-  memo_entries : int;
-  memo_capacity : int;
-  memo_hits : int;
-  memo_misses : int;
-  memo_evictions : int;
   queue_high_water : int;
   shed : int;
   deadline_exceeded : int;
@@ -415,11 +410,7 @@ let run_bench ~conns ~duration () =
   let socket = Filename.concat dir "aved.sock" in
   let jobs = Domain.recommended_domain_count () in
   let config =
-    {
-      (Server.default_config (Server.Unix_socket socket)) with
-      Server.jobs;
-      memo_capacity = 1 lsl 16;
-    }
+    { (Server.default_config (Server.Unix_socket socket)) with Server.jobs }
   in
   if conns + config.Server.dispatchers + 1 > config.Server.max_conns then
     failwith "--conns exceeds the server's connection bound";
@@ -453,13 +444,6 @@ let run_bench ~conns ~duration () =
   in
   let queue = obj_field stats "queue" in
   let slo = obj_field stats "slo" in
-  let memo = obj_field stats "memo" in
-  let memo_entries = int_field memo "entries" in
-  let memo_capacity = int_field memo "capacity" in
-  if memo_entries > memo_capacity then
-    failwith
-      (Printf.sprintf "memo bound violated: %d entries > capacity %d"
-         memo_entries memo_capacity);
   {
     jobs;
     dispatchers = config.Server.dispatchers;
@@ -477,11 +461,6 @@ let run_bench ~conns ~duration () =
     herd_coalesced;
     herd_underlying;
     slo_budget_ms = 1000. *. Aved_obs.Slo.(default_config.latency_budget_s);
-    memo_entries;
-    memo_capacity;
-    memo_hits = int_field memo "hits";
-    memo_misses = int_field memo "misses";
-    memo_evictions = int_field memo "evictions";
     queue_high_water = int_field queue "high_water";
     shed = int_field queue "shed";
     deadline_exceeded = int_field queue "deadline_exceeded";
@@ -545,9 +524,6 @@ let print_human o =
                  %d requests, %d bad, success %.4f, budget remaining %.3f\n"
     o.warm_design.p99_ms o.slo_budget_ms o.slo_requests o.slo_bad
     o.slo_success_rate o.slo_budget_remaining;
-  Printf.printf
-    "memo: %d/%d entries, %d hits, %d misses, %d evictions (bound held)\n"
-    o.memo_entries o.memo_capacity o.memo_hits o.memo_misses o.memo_evictions;
   Printf.printf "queue: high water %d, shed %d, deadline-exceeded %d\n"
     o.queue_high_water o.shed o.deadline_exceeded;
   Printf.printf "heap: %d -> %d words after compaction (%+d)\n"
@@ -588,10 +564,6 @@ let print_json o =
     o.slo_budget_ms o.warm_design.p99_ms
     (o.warm_design.p99_ms <= o.slo_budget_ms)
     o.slo_requests o.slo_bad o.slo_success_rate o.slo_budget_remaining;
-  add
-    "  \"memo\": {\"entries\": %d, \"capacity\": %d, \"hits\": %d, \
-     \"misses\": %d, \"evictions\": %d},\n"
-    o.memo_entries o.memo_capacity o.memo_hits o.memo_misses o.memo_evictions;
   add "  \"queue\": {\"high_water\": %d, \"shed\": %d, \"deadline_exceeded\": %d},\n"
     o.queue_high_water o.shed o.deadline_exceeded;
   add "  \"heap_words_before\": %d,\n" o.heap_words_before;

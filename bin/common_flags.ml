@@ -178,8 +178,8 @@ let with_telemetry ?(stats = false) ?trace f =
     code
   end
 
-(* Search configuration of every command: the requested parallelism plus
-   the memoized analytic engine. Validated here rather than in the
+(* Search configuration of every command: the base with the requested
+   parallelism and bound pruning. Validated here rather than in the
    cmdliner converter so every command reports bad values the same way
    (exit 1, one line on stderr). *)
 let search_config ?(base = Aved_search.Search_config.default)
@@ -194,4 +194,3 @@ let search_config ?(base = Aved_search.Search_config.default)
   base
   |> Aved_search.Search_config.with_jobs jobs
   |> Aved_search.Search_config.with_prune_bounds prune_bounds
-  |> Aved_search.Search_config.with_memo

@@ -661,15 +661,6 @@ let serve_cmd =
              progress for this long is dropped instead of buffering without \
              bound for a client that stopped reading.")
   in
-  let memo_capacity_arg =
-    Arg.(
-      value
-      & opt int Aved_avail.Memo.default_capacity
-      & info [ "memo-capacity" ] ~docv:"N"
-          ~doc:
-            "Entry bound of the shared availability memo (LRU eviction past \
-             it).")
-  in
   let deadline_arg =
     Arg.(
       value
@@ -731,8 +722,8 @@ let serve_cmd =
              $(i,trace) verb before evicting the oldest.")
   in
   let run socket tcp jobs dispatchers queue max_conns coalesce send_timeout
-      memo_capacity deadline log_path slo_target slo_latency_ms slo_window
-      trace_sample trace_ring =
+      deadline log_path slo_target slo_latency_ms slo_window trace_sample
+      trace_ring =
     handle_errors (fun () ->
         let transport =
           match (socket, tcp) with
@@ -777,7 +768,6 @@ let serve_cmd =
             ("--dispatchers", dispatchers);
             ("--queue", queue);
             ("--max-conns", max_conns);
-            ("--memo-capacity", memo_capacity);
           ];
         if max_conns > 1000 then
           failwith
@@ -806,7 +796,6 @@ let serve_cmd =
             max_conns;
             coalesce;
             send_timeout_s = send_timeout;
-            memo_capacity;
             default_deadline_ms = deadline;
             log_path;
             slo;
@@ -836,8 +825,8 @@ let serve_cmd =
          "Run the long-lived design daemon: newline-delimited JSON requests \
           (design, frontier, explain, check, health, stats, metrics) over a \
           Unix-domain or TCP socket, answered from warm state — a shared \
-          search pool, a bounded availability memo and a content-hash spec \
-          cache. One event loop multiplexes up to --max-conns connections \
+          search pool with per-domain evaluation caches and a content-hash \
+          spec cache. One event loop multiplexes up to --max-conns connections \
           (see PROTOCOL.md for the wire format, schema versions 1 and 2); \
           identical concurrent work requests coalesce onto one search \
           (--coalesce). Results are byte-identical to the corresponding \
@@ -850,7 +839,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ jobs_arg $ dispatchers_arg
       $ queue_arg $ max_conns_arg $ coalesce_arg $ send_timeout_arg
-      $ memo_capacity_arg $ deadline_arg $ log_arg
+      $ deadline_arg $ log_arg
       $ slo_target_arg $ slo_latency_arg $ slo_window_arg
       $ trace_sample_arg $ trace_ring_arg)
 

@@ -129,12 +129,11 @@ let render ~endpoint ~prev stats =
   Buffer.add_string buf
     (Printf.sprintf
        "queue     %.0f/%.0f (high water %.0f)   dispatchers %.0f/%.0f busy   \
-        conns %.0f   memo %.0f   heap %.1f MW\n"
+        conns %.0f   heap %.1f MW\n"
        (num queue "depth") (num queue "capacity") (num queue "high_water")
        (num gauges "server.dispatchers.busy")
        (num gauges "server.dispatchers.total")
        (num conns "live")
-       (num gauges "server.memo.entries")
        (num gauges "server.gc.heap_words" /. 1e6));
   Buffer.add_string buf
     (Printf.sprintf

@@ -5,19 +5,16 @@ module Telemetry = Aved_telemetry.Telemetry
 
 type engine =
   | Analytic
-  | Memoized of Memo.t
   | Exact of { max_states : int }
   | Monte_carlo of Monte_carlo.config
 
 let default_engine = Analytic
-let memoized ?capacity () = Memoized (Memo.create ?capacity ())
+let memoized () = Analytic
 
 (* Per-engine invocation counters and solve-latency histograms. The
    disabled path pays one branch and stays allocation-free. *)
 let analytic_calls = Telemetry.Counter.make "avail.engine.analytic.calls"
 let analytic_seconds = Telemetry.Histogram.make "avail.engine.analytic.seconds"
-let memoized_calls = Telemetry.Counter.make "avail.engine.memoized.calls"
-let memoized_seconds = Telemetry.Histogram.make "avail.engine.memoized.seconds"
 let exact_calls = Telemetry.Counter.make "avail.engine.exact.calls"
 let exact_seconds = Telemetry.Histogram.make "avail.engine.exact.seconds"
 let exact_states = Telemetry.Histogram.make "avail.engine.exact.states"
@@ -34,14 +31,6 @@ let tier_downtime_fraction engine model =
             Analytic.downtime_fraction model)
       end
       else Analytic.downtime_fraction model
-  | Memoized cache ->
-      Telemetry.with_trace_span "avail.engine.memoized" @@ fun () ->
-      if Telemetry.enabled () then begin
-        Telemetry.Counter.incr memoized_calls;
-        Telemetry.Histogram.time memoized_seconds (fun () ->
-            Memo.downtime_fraction cache model)
-      end
-      else Memo.downtime_fraction cache model
   | Exact { max_states } ->
       Telemetry.with_trace_span "avail.engine.exact" @@ fun () ->
       if Telemetry.enabled () then begin
@@ -80,7 +69,7 @@ let tier_downtime_decomposition engine (model : Tier_model.t) =
   Telemetry.Counter.incr decompose_calls;
   let total, by_class =
     match engine with
-    | Analytic | Memoized _ ->
+    | Analytic ->
         (Analytic.downtime_fraction model, Analytic.downtime_by_class model)
     | Exact { max_states } ->
         ( Exact.downtime_fraction ~max_states model,
@@ -151,7 +140,7 @@ let analytic_job_time engine (model : Tier_model.t) ~job_size =
 
 let job_completion_time engine model ~job_size =
   match engine with
-  | Analytic | Memoized _ | Exact _ -> analytic_job_time engine model ~job_size
+  | Analytic | Exact _ -> analytic_job_time engine model ~job_size
   | Monte_carlo config ->
       let summary = Monte_carlo.job_completion_times ~config model ~job_size in
       Duration.of_hours summary.Aved_stats.Stats.mean

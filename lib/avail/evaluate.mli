@@ -7,19 +7,16 @@ module Availability = Aved_reliability.Availability
 
 type engine =
   | Analytic  (** Engine A — used inside the search loop. *)
-  | Memoized of Memo.t
-      (** Engine A behind a shared memo table; bit-identical to
-          [Analytic] (see {!Memo}) but amortizes repeated evaluations
-          of identical resolved tier models across the search. *)
   | Exact of { max_states : int }  (** Engine B — validation. *)
   | Monte_carlo of Monte_carlo.config  (** Engine C — validation. *)
 
 val default_engine : engine
 
-val memoized : ?capacity:int -> unit -> engine
-(** [Memoized] with a fresh cache bounded at [capacity] entries
-    (default {!Memo.default_capacity}); see {!Memo} for the LRU
-    eviction contract. *)
+val memoized : unit -> engine
+(** [Analytic]. A former name kept only because the committed serving
+    benchmark ([perfbench/serving.ml]) still calls it; the search's
+    per-domain [Aved_search.Eval_cache] is the one downtime cache.
+    Delete once the benchmark stops calling it. *)
 
 val tier_downtime_fraction : engine -> Tier_model.t -> float
 
@@ -39,7 +36,7 @@ type decomposition = {
 
 val tier_downtime_decomposition : engine -> Tier_model.t -> decomposition
 (** Per-failure-mode downtime attribution through the chosen engine:
-    Markov steady-state occupancy for [Analytic]/[Memoized] (first-order
+    Markov steady-state occupancy for [Analytic] (first-order
     split of the chain mass) and [Exact] (exact per-state split), the
     empirical charge-to-cause attribution for [Monte_carlo]. *)
 

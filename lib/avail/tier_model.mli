@@ -128,7 +128,7 @@ module Skeleton : sig
       where {!build} would. *)
 
   val effective_performance : t -> n:int -> float
-  (** Memoized {!effective_performance_of} at [n] active resources. *)
+  (** Cached {!effective_performance_of} at [n] active resources. *)
 
   val minimum_actives : t -> demand:float -> int option
   (** As the top-level {!minimum_actives}, against the memoized curve. *)
@@ -141,9 +141,8 @@ module Skeleton : sig
   (** The failure classes an instantiated model carries when it has
       (resp. has not) spares. Together with {!failure_scope} and the
       counts (n, m, s) these determine the deterministic engines'
-      downtime fraction completely — the same factoring {!Aved_avail}'s
-      global memo keys on — so callers may share downtime caches across
-      skeletons whose classes and scope are equal. *)
+      downtime fraction completely, so callers may share downtime
+      caches across skeletons whose classes and scope are equal. *)
 
   val failure_scope : t -> Aved_model.Service.failure_scope
 

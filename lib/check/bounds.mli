@@ -30,7 +30,7 @@ val resource_name : analyzer -> string
 val downtime_interval :
   analyzer -> n_active:int -> n_min:int -> n_spare:int -> Interval.t
 (** Bounds the concrete [downtime_fraction] of every design with these
-    counts, over all mechanism settings. Memoized per analyzer. *)
+    counts, over all mechanism settings. Cached per analyzer. *)
 
 val design_label : n_active:int -> n_min:int -> n_spare:int -> string
 (** ["n=2 m=1 s=1"]-style label used in certificate facts. *)

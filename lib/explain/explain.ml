@@ -39,7 +39,7 @@ type t = {
 }
 
 let engine_label : Evaluate.engine -> string = function
-  | Analytic | Memoized _ -> "analytic"
+  | Analytic -> "analytic"
   | Exact _ -> "exact"
   | Monte_carlo _ -> "monte-carlo"
 
@@ -109,7 +109,7 @@ let explain_tier ?(top = 5) ?trail ~engine ~design ~cost ~model () =
   let by_mechanism = Evaluate.by_mechanism decomposition in
   let mean_failed_resources =
     match (engine : Evaluate.engine) with
-    | Analytic | Memoized _ -> Some (Analytic.mean_failed_resources model)
+    | Analytic -> Some (Analytic.mean_failed_resources model)
     | Exact _ | Monte_carlo _ -> None
   in
   let runner_ups, considered =

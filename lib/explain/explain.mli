@@ -60,8 +60,7 @@ type t = {
 }
 
 val engine_label : Evaluate.engine -> string
-(** ["analytic"] (also for the memoized variant, which is bit-identical
-    engine A), ["exact"], or ["monte-carlo"]. *)
+(** ["analytic"], ["exact"], or ["monte-carlo"]. *)
 
 val explain_tier :
   ?top:int ->

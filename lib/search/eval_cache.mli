@@ -6,9 +6,11 @@
     depend on the counts — failure classes, loss window, the effective
     performance curve, per-resource costs — is derived once per
     combination via {!Aved_avail.Tier_model.Skeleton} and kept in
-    domain-local storage; downtime fractions of the deterministic
-    engines are additionally memoized per (n, m, s) with plain integer
-    keys, bypassing the locked global {!Aved_avail.Memo} table.
+    domain-local storage; Engine A downtime fractions are additionally
+    cached per (n, m, s) with plain integer keys. This is the search's
+    only downtime cache: no lock, no process-wide table. Its reuse is
+    counted by the telemetry counters [search.eval.downtime.fresh] and
+    [search.eval.downtime.reused].
 
     Everything served from the cache is bitwise identical to the
     uncached computation (same operations in the same order), so search
@@ -71,17 +73,10 @@ val model :
 val downtime_fraction :
   entry -> Aved_avail.Evaluate.engine -> Aved_avail.Tier_model.t -> float
 (** The engine's downtime fraction for a model instantiated from this
-    entry. [Analytic] and [Memoized] results are cached per
-    (n_active, n_min, n_spare) — the full parameter set of those
-    engines; validation engines pass through uncached. *)
-
-type counters = { fresh : int; reused : int }
-
-val downtime_counters : unit -> counters
-(** Process-wide downtime-table hit counters, also exported as telemetry
-    counters [search.eval.downtime.fresh] / [search.eval.downtime.reused]. *)
-
-val reset_downtime_counters : unit -> unit
+    entry. [Analytic] results are cached per (n_active, n_min,
+    n_spare) — the full parameter set of that engine beyond the
+    entry's classes and scope; validation engines pass through
+    uncached. *)
 
 val reset : unit -> unit
 (** Drop the calling domain's cache (tests and benchmarks). *)

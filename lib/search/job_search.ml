@@ -145,7 +145,7 @@ let eval_settings_fold config ~tier_name
                 | None ->
                     let execution_time =
                       match config.Search_config.engine with
-                      | Avail.Evaluate.Analytic | Avail.Evaluate.Memoized _ ->
+                      | Avail.Evaluate.Analytic ->
                           let downtime_fraction =
                             Eval_cache.downtime_fraction entry
                               config.Search_config.engine model

@@ -25,10 +25,3 @@ let with_prune_bounds prune_bounds t = { t with prune_bounds }
 let with_jobs jobs t =
   if jobs < 1 then invalid_arg "Search_config.with_jobs: jobs must be >= 1";
   { t with jobs }
-
-let with_memo t =
-  match t.engine with
-  | Aved_avail.Evaluate.Analytic -> { t with engine = Aved_avail.Evaluate.memoized () }
-  | Aved_avail.Evaluate.Memoized _ | Aved_avail.Evaluate.Exact _
-  | Aved_avail.Evaluate.Monte_carlo _ ->
-      t

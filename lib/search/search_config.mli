@@ -40,7 +40,3 @@ val with_prune_bounds : bool -> t -> t
 
 val with_jobs : int -> t -> t
 (** Raises [Invalid_argument] when [jobs < 1]. *)
-
-val with_memo : t -> t
-(** Swaps an [Analytic] engine for [Memoized] with a fresh cache
-    (no-op for the other engines). *)

@@ -3,7 +3,6 @@ module Json = Aved_explain.Json
 module Api = Aved_api.Api
 module Model = Aved_model
 module Duration = Aved_units.Duration
-module Memo = Aved_avail.Memo
 module Pool = Aved_parallel.Pool
 module Bounded_queue = Aved_parallel.Bounded_queue
 module Trace_id = Aved_obs.Trace_id
@@ -63,7 +62,6 @@ let queue_capacity_gauge = Telemetry.Gauge.make "server.queue.capacity"
 let dispatchers_busy_gauge = Telemetry.Gauge.make "server.dispatchers.busy"
 let dispatchers_total_gauge = Telemetry.Gauge.make "server.dispatchers.total"
 let inflight_gauge = Telemetry.Gauge.make "server.coalesced.inflight"
-let memo_entries_gauge = Telemetry.Gauge.make "server.memo.entries"
 let spec_cache_entries_gauge = Telemetry.Gauge.make "server.spec_cache.entries"
 let uptime_gauge = Telemetry.Gauge.make "server.uptime.seconds"
 let pool_domains_gauge = Telemetry.Gauge.make "server.pool.domains"
@@ -114,12 +112,9 @@ let attributed_counters =
     "search.eval.downtime.fresh";
     "search.eval.downtime.reused";
     "avail.engine.analytic.calls";
-    "avail.engine.memoized.calls";
     "avail.engine.exact.calls";
     "avail.exact.solve.fresh";
     "avail.exact.solve.incremental";
-    "avail.memo.hits";
-    "avail.memo.misses";
     "markov.birth_death.solves";
     "markov.gth.solves";
     "markov.banded.solves";
@@ -146,7 +141,6 @@ type config = {
   max_conns : int;
   coalesce : bool;
   default_deadline_ms : float option;
-  memo_capacity : int;
   span_capacity : int;
   send_timeout_s : float;
   log_path : string option;
@@ -170,7 +164,6 @@ let default_config transport =
     max_conns = 900;
     coalesce = true;
     default_deadline_ms = None;
-    memo_capacity = Memo.default_capacity;
     span_capacity = 4096;
     send_timeout_s = 10.;
     log_path = None;
@@ -242,7 +235,6 @@ type t = {
   queue : job Bounded_queue.t;
   inflight : (waiter, verdict) Inflight.t;
   pool : Pool.t;
-  memo : Memo.t;
   search_config : Aved_search.Search_config.t;
   specs : Spec_cache.t;
   registry : Telemetry.t;
@@ -648,7 +640,6 @@ let set_runtime_gauges t =
   Telemetry.Gauge.set queue_high_water_gauge
     (float_of_int (Atomic.get t.queue_high_water));
   Telemetry.Gauge.set inflight_gauge (float_of_int (Inflight.length t.inflight));
-  Telemetry.Gauge.set memo_entries_gauge (float_of_int (Memo.length t.memo));
   Telemetry.Gauge.set spec_cache_entries_gauge
     (float_of_int (Spec_cache.length t.specs));
   Telemetry.Gauge.set connections_live_gauge
@@ -694,7 +685,6 @@ let handle_metrics t ~version =
     { Api.metrics_content_type = Prometheus.content_type; body }
 
 let handle_stats t ~version =
-  let memo_hits, memo_misses = Memo.stats t.memo in
   let snap = set_runtime_gauges t in
   Api.versioned ~version
     [
@@ -738,15 +728,6 @@ let handle_stats t ~version =
             );
           ] );
       ("slo", slo_json snap);
-      ( "memo",
-        Json.Obj
-          [
-            ("entries", Json.Int (Memo.length t.memo));
-            ("capacity", Json.Int (Memo.capacity t.memo));
-            ("hits", Json.Int memo_hits);
-            ("misses", Json.Int memo_misses);
-            ("evictions", Json.Int (Memo.evictions t.memo));
-          ] );
       ( "spec_cache",
         Json.Obj
           [
@@ -1278,12 +1259,9 @@ let create config =
    with Invalid_argument _ | Sys_error _ -> ());
   let registry = Telemetry.create ~span_capacity:config.span_capacity () in
   Telemetry.install registry;
-  let memo = Memo.create ~capacity:config.memo_capacity () in
   let search_config =
-    Aved_search.Search_config.default
-    |> Aved_search.Search_config.with_jobs config.jobs
-    |> Aved_search.Search_config.with_engine
-         (Aved_avail.Evaluate.Memoized memo)
+    Aved_search.Search_config.with_jobs config.jobs
+      Aved_search.Search_config.default
   in
   let log =
     match config.log_path with
@@ -1310,7 +1288,6 @@ let create config =
       queue = Bounded_queue.create ~capacity:config.queue_capacity;
       inflight = Inflight.create ();
       pool = Pool.create ~jobs:config.jobs;
-      memo;
       search_config;
       specs = Spec_cache.create ();
       registry;

@@ -36,10 +36,11 @@
     [send_timeout_s] (or exceeding 8 MiB) drops the connection —
     a slow reader cannot wedge a dispatcher or the loop.
 
-    Warm state shared by every request: the domain pool, one bounded
-    LRU availability memo ({!Aved_avail.Memo}), a content-hash cache of
-    parsed specification pairs ({!Spec_cache}), and a telemetry
-    registry whose counters and histograms the [stats] verb reports.
+    Warm state shared by every request: the domain pool (each domain
+    keeps its own {!Aved_search.Eval_cache}; dispatcher threads share
+    domain 0's), a content-hash cache of parsed specification pairs
+    ({!Spec_cache}), and a telemetry registry whose counters and
+    histograms the [stats] verb reports.
 
     {2 Deadlines}
 
@@ -64,8 +65,8 @@
 
     Results are byte-identical to the one-shot CLI: handlers render
     through the same {!Aved_api.Api} encoders the [--json] flags use
-    at the request's negotiated schema version, and the shared memo is
-    bit-identical to the unmemoized engine. *)
+    at the request's negotiated schema version, and the evaluation
+    cache returns bitwise the value Engine A computes. *)
 
 type transport = Unix_socket of string | Tcp of { host : string; port : int }
 
@@ -86,7 +87,6 @@ type config = {
           through its own search. *)
   default_deadline_ms : float option;
       (** Queueing budget applied when a request names none. *)
-  memo_capacity : int;  (** Bound of the shared availability memo. *)
   span_capacity : int;
       (** Per-domain telemetry span retention ({!Aved_telemetry.Telemetry.create}). *)
   send_timeout_s : float;
@@ -122,9 +122,8 @@ type config = {
 val default_config : transport -> config
 (** [jobs = Domain.recommended_domain_count ()], 2 dispatchers, a
     128-request queue, 900 connections, coalescing on, no default
-    deadline, {!Aved_avail.Memo.default_capacity} memo entries, 4096
-    retained spans per domain, a 10 s send timeout, no request log,
-    {!Aved_obs.Slo.default_config} (99.9% of work requests within
+    deadline, 4096 retained spans per domain, a 10 s send timeout, no
+    request log, {!Aved_obs.Slo.default_config} (99.9% of work requests within
     50 ms over a 5-minute window), tracing off ([trace_sample = 0.])
     with a 256-trace ring and 2048 spans per trace. *)
 

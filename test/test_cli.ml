@@ -128,10 +128,10 @@ let test_stats_and_trace () =
     (contains stderr "telemetry summary");
   Alcotest.(check bool) "candidate counters present" true
     (contains stderr "search.candidates.evaluated");
-  Alcotest.(check bool) "memo counters present" true
-    (contains stderr "avail.memo.hits");
+  Alcotest.(check bool) "eval-cache reuse counter present" true
+    (contains stderr "search.eval.downtime.reused");
   Alcotest.(check bool) "engine histogram present" true
-    (contains stderr "avail.engine.memoized.seconds");
+    (contains stderr "avail.engine.analytic.seconds");
   Alcotest.(check bool) "trace is chrome json" true
     (contains trace_content "\"traceEvents\"")
 

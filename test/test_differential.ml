@@ -133,15 +133,12 @@ let evaluate_dispatch_consistent =
       let via_analytic =
         Evaluate.tier_downtime_fraction Evaluate.Analytic m
       in
-      let via_memo =
-        Evaluate.tier_downtime_fraction (Evaluate.memoized ()) m
-      in
       let via_exact =
         Evaluate.tier_downtime_fraction
           (Evaluate.Exact { max_states = 20000 })
           m
       in
-      via_analytic = direct && via_memo = direct
+      via_analytic = direct
       && Float.abs (via_exact -. Exact.downtime_fraction m) = 0.)
 
 let () =

@@ -6,7 +6,6 @@
    selected design shows up here. *)
 
 module Duration = Aved_units.Duration
-module Search_config = Aved_search.Search_config
 module Figures = Aved.Figures
 
 let costs_equal = Alcotest.float 1e-6
@@ -111,12 +110,10 @@ let test_fig6_downtime_monotone_in_load () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 7 *)
 
-(* A reduced requirement grid spanning the rI -> rH crossover; the
-   memoized engine is bit-identical to the plain analytic one. *)
+(* A reduced requirement grid spanning the rI -> rH crossover. *)
 let fig7_points =
   lazy
-    (Figures.fig7
-       ~config:(Search_config.with_memo Aved.Experiments.fig7_config)
+    (Figures.fig7 ~config:Aved.Experiments.fig7_config
        ~requirements_hours:[ 1.; 6.; 8.2; 24.; 90.; 400. ]
        ())
 

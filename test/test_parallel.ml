@@ -1,5 +1,5 @@
 (* The multicore search layer: work-pool semantics, shared-incumbent
-   behavior, memoized evaluation, and — the load-bearing contract —
+   behavior, the bounded admission queue, and — the load-bearing contract —
    bit-identical search results at any [jobs] setting. *)
 
 module Duration = Aved_units.Duration
@@ -91,129 +91,6 @@ let test_incumbent_monotone () =
   Alcotest.(check (float 0.)) "improves" 7. (Incumbent.get inc)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized evaluation *)
-
-let gen_small_model =
-  let open QCheck2.Gen in
-  let* n = int_range 1 4 in
-  let* s = int_range 0 2 in
-  let* m = int_range 1 n in
-  let* tier_scope = bool in
-  let* class_count = int_range 1 2 in
-  let* raw =
-    list_repeat class_count
-      (triple (float_range 2. 800.) (float_range 0.05 48.)
-         (float_range 0.5 30.))
-  in
-  let classes =
-    List.mapi
-      (fun i (mtbf_days, mttr_hours, failover_minutes) ->
-        let mttr = Duration.of_hours mttr_hours in
-        let failover = Duration.of_minutes failover_minutes in
-        {
-          Aved_avail.Tier_model.label = Printf.sprintf "c%d" i;
-          rate = 1. /. Duration.seconds (Duration.of_days mtbf_days);
-          mttr;
-          failover_time = failover;
-          failover_considered = s > 0 && Duration.compare mttr failover > 0;
-          repair_mechanism = None;
-        })
-      raw
-  in
-  return
-    {
-      Aved_avail.Tier_model.tier_name = "memo";
-      n_active = n;
-      n_min = (if tier_scope then n else m);
-      n_spare = s;
-      failure_scope =
-        (if tier_scope then Service.Tier_scope else Service.Resource_scope);
-      classes;
-      loss_window = None;
-      effective_performance = 100.;
-    }
-
-let test_memo_equals_uncached () =
-  let models =
-    QCheck2.Gen.generate ~rand:(Random.State.make [| 2026 |]) ~n:1000
-      gen_small_model
-  in
-  let cache = Aved_avail.Memo.create () in
-  List.iter
-    (fun m ->
-      let direct = Aved_avail.Analytic.downtime_fraction m in
-      let cached = Aved_avail.Memo.downtime_fraction cache m in
-      if cached <> direct then
-        Alcotest.failf "memo %.17e <> direct %.17e" cached direct)
-    models
-
-let test_memo_hits () =
-  let cache = Aved_avail.Memo.create () in
-  let m =
-    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |]) gen_small_model
-  in
-  ignore (Aved_avail.Memo.downtime_fraction cache m);
-  ignore (Aved_avail.Memo.downtime_fraction cache m);
-  (* The key ignores labels: a renamed model must still hit. *)
-  ignore
-    (Aved_avail.Memo.downtime_fraction cache
-       { m with Aved_avail.Tier_model.tier_name = "renamed" });
-  let hits, misses = Aved_avail.Memo.stats cache in
-  Alcotest.(check int) "misses" 1 misses;
-  Alcotest.(check int) "hits" 2 hits
-
-(* The LRU bound: a capacity-k table holds at most k entries, evicts
-   the least-recently-used key first, and recomputed evictees still
-   agree with the uncached engine (eviction forgets, never corrupts). *)
-let test_memo_lru_bound () =
-  let models =
-    QCheck2.Gen.generate ~rand:(Random.State.make [| 404 |]) ~n:64
-      gen_small_model
-  in
-  let cache = Aved_avail.Memo.create ~capacity:16 () in
-  List.iter (fun m -> ignore (Aved_avail.Memo.downtime_fraction cache m)) models;
-  Alcotest.(check bool) "bounded" true (Aved_avail.Memo.length cache <= 16);
-  Alcotest.(check int) "capacity" 16 (Aved_avail.Memo.capacity cache);
-  Alcotest.(check bool) "evicted" true (Aved_avail.Memo.evictions cache > 0);
-  List.iter
-    (fun m ->
-      Alcotest.(check (float 0.))
-        "recompute agrees"
-        (Aved_avail.Analytic.downtime_fraction m)
-        (Aved_avail.Memo.downtime_fraction cache m))
-    models
-
-let test_memo_lru_order () =
-  (* Distinct keys via n_active; capacity 2. Touching the older entry
-     promotes it, so the untouched one is evicted first. *)
-  let base =
-    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 11 |]) gen_small_model
-  in
-  let model n =
-    {
-      base with
-      Aved_avail.Tier_model.n_active = n;
-      n_min = 1;
-      n_spare = 0;
-      failure_scope = Service.Resource_scope;
-    }
-  in
-  let cache = Aved_avail.Memo.create ~capacity:2 () in
-  let touch n = ignore (Aved_avail.Memo.downtime_fraction cache (model n)) in
-  touch 1;
-  touch 2;
-  touch 1 (* promote 1: LRU is now 2 *);
-  touch 3 (* evicts 2 *);
-  touch 1 (* still cached: hit *);
-  let hits, misses = Aved_avail.Memo.stats cache in
-  Alcotest.(check int) "misses" 3 misses;
-  Alcotest.(check int) "hits" 2 hits;
-  Alcotest.(check int) "one eviction" 1 (Aved_avail.Memo.evictions cache);
-  touch 2 (* was evicted: a miss again *);
-  let _, misses = Aved_avail.Memo.stats cache in
-  Alcotest.(check int) "evicted key misses" 4 misses
-
-(* ------------------------------------------------------------------ *)
 (* The bounded admission queue *)
 
 module Bounded_queue = Aved_parallel.Bounded_queue
@@ -260,26 +137,6 @@ let test_queue_close_wakes_consumers () =
   Array.iter
     (fun r -> Alcotest.(check (option int)) "woken with None" None r)
     results
-
-let test_memoized_engine_in_search () =
-  let plain = Search_config.default in
-  let memo = Search_config.with_memo Search_config.default in
-  let a =
-    Tier_search.optimal plain (infra ()) ~tier:(app_tier ()) ~demand:1000.
-      ~max_downtime:(Duration.of_minutes 100.)
-  in
-  let b =
-    Tier_search.optimal memo (infra ()) ~tier:(app_tier ()) ~demand:1000.
-      ~max_downtime:(Duration.of_minutes 100.)
-  in
-  match (a, b) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "same design" true
-        (Design.compare_tier a.Candidate.design b.Candidate.design = 0);
-      Alcotest.(check (float 0.))
-        "same downtime" a.Candidate.downtime_fraction
-        b.Candidate.downtime_fraction
-  | _ -> Alcotest.fail "searches disagree on feasibility"
 
 (* ------------------------------------------------------------------ *)
 (* jobs=1 vs jobs=4 determinism *)
@@ -420,18 +277,6 @@ let () =
             test_stress_many_small_tasks;
           Alcotest.test_case "incumbent keeps the minimum" `Quick
             test_incumbent_monotone;
-        ] );
-      ( "memo",
-        [
-          Alcotest.test_case "memoized equals uncached on 1000 random models"
-            `Quick test_memo_equals_uncached;
-          Alcotest.test_case "cache hits ignore labels" `Quick test_memo_hits;
-          Alcotest.test_case "LRU bound holds and eviction never corrupts"
-            `Quick test_memo_lru_bound;
-          Alcotest.test_case "LRU evicts the least recently used" `Quick
-            test_memo_lru_order;
-          Alcotest.test_case "memoized engine reproduces the search" `Quick
-            test_memoized_engine_in_search;
         ] );
       ( "bounded-queue",
         [

@@ -673,42 +673,84 @@ let test_config_with_jobs () =
         | exception Invalid_argument _ -> true))
     [ 0; -1 ]
 
-let test_config_with_memo () =
-  let is_memoized c =
-    match c.Search_config.engine with
-    | Aved_avail.Evaluate.Memoized _ -> true
-    | _ -> false
-  in
-  (* Analytic is swapped for Memoized; other fields survive. *)
-  let base = Search_config.with_jobs 3 Search_config.default in
-  let memo = Search_config.with_memo base in
-  Alcotest.(check bool) "analytic becomes memoized" true (is_memoized memo);
-  Alcotest.(check int) "jobs preserved" 3 memo.Search_config.jobs;
-  (* Idempotent: an already-memoized engine is left alone (same cache). *)
-  let again = Search_config.with_memo memo in
-  Alcotest.(check bool) "memoized stays memoized" true (is_memoized again);
-  (match (memo.Search_config.engine, again.Search_config.engine) with
-  | Aved_avail.Evaluate.Memoized a, Aved_avail.Evaluate.Memoized b ->
-      Alcotest.(check bool) "cache shared" true (a == b)
-  | _ -> Alcotest.fail "expected memoized engines");
-  (* No-op for the validation engines. *)
+(* ------------------------------------------------------------------ *)
+(* The evaluation cache: the search's one downtime cache *)
+
+module Eval_cache = Aved_search.Eval_cache
+module Telemetry = Aved_telemetry.Telemetry
+
+(* Every model of the e-commerce application tier over each resource
+   option, settings combination and spare mode, at small
+   n_active/n_spare splits, paired with the entry that built it. *)
+let application_models infra =
+  let tier = app_tier () in
+  List.concat_map
+    (fun (option : Service.resource_option) ->
+      List.concat_map
+        (fun (_, base) ->
+          List.concat_map
+            (fun (_, entry) ->
+              List.concat_map
+                (fun n_active ->
+                  List.filter_map
+                    (fun n_spare ->
+                      match
+                        Eval_cache.model entry ~n_active ~n_spare
+                          ~demand:(Some 300.)
+                      with
+                      | m -> Some (entry, m)
+                      | exception Aved_avail.Tier_model.Rejected _ -> None)
+                    [ 0; 1; 2 ])
+                [ 1; 2; 3; 4 ])
+            (Eval_cache.spare_entries base))
+        (Eval_cache.settings_entries ~infra ~tier_name:tier.Service.tier_name
+           ~option))
+    tier.Service.options
+
+let downtime_counts registry =
+  ( Telemetry.Counter.read_by_name registry "search.eval.downtime.fresh",
+    Telemetry.Counter.read_by_name registry "search.eval.downtime.reused" )
+
+(* One pass over [infra]'s models: every cached downtime must be
+   bitwise Engine A's own value. Returns the (fresh, reused) deltas. *)
+let sweep registry infra =
+  let fresh0, reused0 = downtime_counts registry in
+  let models = application_models infra in
   List.iter
-    (fun engine ->
-      let c =
-        Search_config.with_memo
-          (Search_config.with_engine engine Search_config.default)
+    (fun (entry, m) ->
+      let cached =
+        Eval_cache.downtime_fraction entry Aved_avail.Evaluate.Analytic m
       in
-      Alcotest.(check bool) "validation engine unchanged" true
-        (c.Search_config.engine = engine))
-    [
-      Aved_avail.Evaluate.Exact { max_states = 1000 };
-      Aved_avail.Evaluate.Monte_carlo
-        {
-          Aved_avail.Monte_carlo.replications = 2;
-          horizon = Duration.of_years 1.;
-          seed = 1;
-        };
-    ]
+      let direct = Aved_avail.Analytic.downtime_fraction m in
+      if Int64.bits_of_float cached <> Int64.bits_of_float direct then
+        Alcotest.failf "%s n=%d s=%d: cached %.17e <> Engine A %.17e"
+          m.Aved_avail.Tier_model.tier_name m.n_active m.n_spare cached direct)
+    models;
+  let fresh1, reused1 = downtime_counts registry in
+  (List.length models, fresh1 - fresh0, reused1 - reused0)
+
+let test_eval_cache_downtimes () =
+  Eval_cache.reset ();
+  let registry = Telemetry.create () in
+  Telemetry.install registry;
+  Fun.protect ~finally:Telemetry.uninstall @@ fun () ->
+  let infra = infra () in
+  let lookups, fresh, reused = sweep registry infra in
+  Alcotest.(check bool) "the sweep covers many models" true (lookups > 100);
+  Alcotest.(check int) "every lookup counted once" lookups (fresh + reused);
+  Alcotest.(check bool) "first sweep computes" true (fresh > 0);
+  let lookups', fresh', reused' = sweep registry infra in
+  Alcotest.(check int) "same models" lookups lookups';
+  Alcotest.(check int) "repeat sweep computes nothing" 0 fresh';
+  Alcotest.(check int) "repeat sweep is all reuse" lookups reused';
+  (* The same spec loaded again is a physically different value, which
+     invalidates the cache: the same lookups are fresh again. *)
+  let reloaded = Aved.Experiments.infrastructure () in
+  Alcotest.(check bool) "reload is a new value" false (reloaded == infra);
+  let lookups'', fresh'', reused'' = sweep registry reloaded in
+  Alcotest.(check int) "same models after reload" lookups lookups'';
+  Alcotest.(check int) "reload recomputes" fresh fresh'';
+  Alcotest.(check int) "reload reuses as the first sweep did" reused reused''
 
 let () =
   Alcotest.run "search"
@@ -770,7 +812,11 @@ let () =
       ( "config",
         [
           Alcotest.test_case "with_jobs" `Quick test_config_with_jobs;
-          Alcotest.test_case "with_memo" `Quick test_config_with_memo;
+        ] );
+      ( "eval-cache",
+        [
+          Alcotest.test_case "downtimes are Engine A's, reuse counted once"
+            `Quick test_eval_cache_downtimes;
         ] );
       ( "service",
         [

@@ -253,8 +253,7 @@ let test_stats_shape () =
             (List.mem_assoc key fields))
         [
           "uptime_seconds"; "queue"; "connections"; "coalescing"; "slo";
-          "memo"; "spec_cache"; "counters"; "gauges"; "histograms";
-          "spans_dropped";
+          "spec_cache"; "counters"; "gauges"; "histograms"; "spans_dropped";
         ];
       (* The coalescing object reports the in-flight registry... *)
       (match List.assoc_opt "coalescing" fields with
