@@ -138,27 +138,15 @@ type skeleton = {
   mutable solver : Ctmc.Solver.t option;
 }
 
-let fresh_solves = Atomic.make 0
-let incremental_solves = Atomic.make 0
 let tm_fresh = Telemetry.Counter.make "avail.exact.solve.fresh"
 let tm_incremental = Telemetry.Counter.make "avail.exact.solve.incremental"
-
-type solver_counters = { fresh : int; incremental : int }
-
-let solver_counters () =
-  {
-    fresh = Atomic.get fresh_solves;
-    incremental = Atomic.get incremental_solves;
-  }
 
 let skeleton_cache_key :
     ((int * int, skeleton) Hashtbl.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let reset_solver_cache () =
-  Hashtbl.reset (Domain.DLS.get skeleton_cache_key);
-  Atomic.set fresh_solves 0;
-  Atomic.set incremental_solves 0
+  Hashtbl.reset (Domain.DLS.get skeleton_cache_key)
 
 let build_skeleton ~j ~n_total =
   let states = Array.of_list (enumerate_states ~j ~total:n_total) in
@@ -241,8 +229,7 @@ let solve ~max_states (model : Tier_model.t) =
             Ctmc.Solver.update_rate solver ~src:tr.src ~dst:tr.dst
               ~rate:(rate_of tr))
           entry.skeleton_transitions;
-        Atomic.incr incremental_solves;
-        if Telemetry.enabled () then Telemetry.Counter.incr tm_incremental;
+        Telemetry.Counter.incr tm_incremental;
         Ctmc.Solver.solve solver
     | None ->
         let chain = Ctmc.create (Array.length entry.states) in
@@ -253,8 +240,7 @@ let solve ~max_states (model : Tier_model.t) =
           entry.skeleton_transitions;
         let solver = Ctmc.Solver.create chain in
         entry.solver <- Some solver;
-        Atomic.incr fresh_solves;
-        if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;
+        Telemetry.Counter.incr tm_fresh;
         Ctmc.Solver.solve solver
   in
   { states = entry.states; classes; pi; n_total }

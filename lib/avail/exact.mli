@@ -48,18 +48,11 @@ val annual_downtime : ?max_states:int -> Tier_model.t -> Aved_units.Duration.t
     rewrites rates in place and re-solves ({!Aved_markov.Ctmc.Solver}).
     Up to 2048 states that re-solve is an elimination, so a model's
     answer is bitwise the same whichever models the domain solved
-    before. *)
-
-type solver_counters = {
-  fresh : int;  (** solves that built and compiled a new state space *)
-  incremental : int;  (** solves that reused a cached skeleton *)
-}
-
-val solver_counters : unit -> solver_counters
-(** Process-wide totals, also exported as telemetry counters
-    [avail.exact.solve.fresh] / [avail.exact.solve.incremental]. *)
+    before. The telemetry counters [avail.exact.solve.fresh] (a solve
+    that built and compiled a new state space) and
+    [avail.exact.solve.incremental] (a solve that reused a cached
+    skeleton) tell the two apart. *)
 
 val reset_solver_cache : unit -> unit
-(** Drops the calling domain's skeleton cache and zeroes the counters —
-    the differential tests use it to compare incremental against
-    from-scratch solves. *)
+(** Drops the calling domain's skeleton cache — the differential tests
+    use it to compare incremental against from-scratch solves. *)

@@ -314,11 +314,6 @@ let select_backend t = select_backend_csr (compile t)
 let default_power_tol = 1e-12
 let default_power_iters n = 10_000 + (200 * n)
 
-let bump atomic tm =
-  Atomic.incr atomic;
-  if Telemetry.enabled () then Telemetry.Counter.incr tm
-
-let fallback_counter = Atomic.make 0
 let tm_fallback = Telemetry.Counter.make "markov.solver.fallback"
 
 (* [start] seeds power iteration (the previous solution of a re-solve);
@@ -334,7 +329,7 @@ let solve_csr ?start backend csr =
         power_csr ?start csr ~tol:default_power_tol
           ~max_iters:(default_power_iters n)
       with Failure _ ->
-        bump fallback_counter tm_fallback;
+        Telemetry.Counter.incr tm_fallback;
         gth_csr csr)
   | Lu -> assert false (* dispatched before solve_csr *)
 
@@ -416,33 +411,9 @@ module Solver = struct
     mutable dirty : bool;
   }
 
-  let fresh_counter = Atomic.make 0
-  let incremental_counter = Atomic.make 0
-  let cached_counter = Atomic.make 0
   let tm_fresh = Telemetry.Counter.make "markov.solver.fresh"
   let tm_incremental = Telemetry.Counter.make "markov.solver.incremental"
   let tm_cached = Telemetry.Counter.make "markov.solver.cached"
-
-  type counters = {
-    fresh : int;
-    incremental : int;
-    fallback : int;
-    cached : int;
-  }
-
-  let counters () =
-    {
-      fresh = Atomic.get fresh_counter;
-      incremental = Atomic.get incremental_counter;
-      fallback = Atomic.get fallback_counter;
-      cached = Atomic.get cached_counter;
-    }
-
-  let reset_counters () =
-    Atomic.set fresh_counter 0;
-    Atomic.set incremental_counter 0;
-    Atomic.set fallback_counter 0;
-    Atomic.set cached_counter 0
 
   let create chain = { csr = checked chain; pi = None; dirty = true }
 
@@ -470,11 +441,11 @@ module Solver = struct
   let solve t =
     match t.pi with
     | Some pi when not t.dirty ->
-        bump cached_counter tm_cached;
+        Telemetry.Counter.incr tm_cached;
         Array.copy pi
     | previous ->
-        if Option.is_none previous then bump fresh_counter tm_fresh
-        else bump incremental_counter tm_incremental;
+        Telemetry.Counter.incr
+          (if Option.is_none previous then tm_fresh else tm_incremental);
         let pi =
           solve_checked ?start:previous (select_backend_csr t.csr) t.csr
         in

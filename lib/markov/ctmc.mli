@@ -129,22 +129,13 @@ module Solver : sig
       copy; caches internally, so calling it twice without an
       intervening rate change is O(n). A solve is recorded like a
       {!stationary} one: a [markov.solve.<backend>] trace span and the
-      [markov.<backend>.solves] counter. *)
-
-  type counters = {
-    fresh : int;  (** first solves of a structure *)
-    incremental : int;  (** re-solves after a rate change *)
-    fallback : int;
-        (** auto-selected power solves, by {!stationary} or {!solve},
-            whose budget ran out so that GTH finished them *)
-    cached : int;  (** solves answered from the cached vector *)
-  }
-
-  val counters : unit -> counters
-  (** Process-wide totals across all solver instances and domains; also
-      exported as telemetry counters [markov.solver.*]. *)
-
-  val reset_counters : unit -> unit
+      [markov.<backend>.solves] counter. It also counts into
+      [markov.solver.fresh] (the first solve of a structure),
+      [markov.solver.incremental] (a re-solve after a rate change) or
+      [markov.solver.cached] (answered from the cached vector); an
+      auto-selected power solve, here or by {!stationary}, whose budget
+      ran out so that GTH finished it counts into
+      [markov.solver.fallback]. *)
 end
 
 val expected_reward : t -> reward:(int -> float) -> float

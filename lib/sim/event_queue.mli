@@ -1,19 +1,30 @@
 (** A binary min-heap of timestamped events.
 
     The discrete-event simulator processes events in time order; ties are
-    broken by insertion order so simulations are fully deterministic. *)
+    broken by insertion order so simulations are fully deterministic.
+    An event's payload is an int (the simulator codes its events as
+    ints). The heap is stored as parallel arrays (unboxed times,
+    sequence numbers, payloads), and neither {!push} nor {!pop_min}
+    allocates once the arrays have grown to the queue's working size. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
+val create : unit -> t
+val is_empty : t -> bool
+val length : t -> int
 
-val push : 'a t -> time:float -> 'a -> unit
+val push : t -> time:float -> int -> unit
 (** Raises [Invalid_argument] for a non-finite time. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Removes and returns the earliest event. *)
+val min_time : t -> float
+(** Time of the earliest event; [infinity] when the queue is empty. *)
 
-val peek_time : 'a t -> float option
-val clear : 'a t -> unit
+val pop_min : t -> int
+(** Removes the earliest event (the first pushed among equal times) and
+    returns its payload; its time is {!min_time} before the call.
+    Raises [Invalid_argument] when the queue is empty. *)
+
+val pushes : t -> int
+(** The number of events pushed since {!create}. *)
+
+val clear : t -> unit

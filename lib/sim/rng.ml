@@ -1,28 +1,37 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh int64 on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 output mixer (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
             0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
             0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix seed }
+let[@inline] next_int64 t =
+  let state = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 state;
+  mix state
+
+let split t = of_state (mix (next_int64 t))
 
 (* Top 53 bits scaled to [0, 1). *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
@@ -49,13 +58,12 @@ let weibull t ~shape ~scale =
 let gaussian t ~mean ~stddev =
   if stddev < 0. then invalid_arg "Rng.gaussian: negative stddev";
   (* Box-Muller; u1 must be nonzero for the log. *)
-  let rec nonzero () =
-    let u = float t in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () in
+  let u1 = ref (float t) in
+  while not (!u1 > 0.) do
+    u1 := float t
+  done;
   let u2 = float t in
-  let r = sqrt (-2. *. log u1) in
+  let r = sqrt (-2. *. log !u1) in
   mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)

@@ -3,7 +3,7 @@
     The Monte-Carlo availability engine must be reproducible across runs
     and platforms, so it does not use [Stdlib.Random]. SplitMix64 passes
     BigCrush, is trivially splittable, and needs one 64-bit word of
-    state. *)
+    state, kept unboxed so that a draw does not allocate. *)
 
 type t
 

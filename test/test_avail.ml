@@ -629,6 +629,137 @@ let test_shapes_change_job_times () =
     true
     (bursty > exponential *. 1.02 && exponential > regular *. 1.02)
 
+(* ------------------------------------------------------------------ *)
+(* Known answers for Engine C. The simulator may get faster, but every
+   draw and every event must replay in the same order, so these figures
+   (hex floats, compared bit for bit) must never move. The models are
+   e-commerce application-tier designs at load 1000: rC at bronze, five
+   actives with and without a spare (four failure classes each). *)
+
+let rc_design ~level ~n_active ~n_spare =
+  Tier_model.build ~infra:(Aved.Experiments.infrastructure ())
+    ~option:(paper_option "rC")
+    ~design:
+      (Design.tier_design ~tier_name:"application" ~resource:"rC" ~n_active
+         ~n_spare
+         ~mechanism_settings:
+           [ ("maintenanceA", [ ("level", Mechanism.Enum_value level) ]) ]
+         ())
+    ~demand:(Some 1000.)
+
+let with_spare () = rc_design ~level:"bronze" ~n_active:5 ~n_spare:1
+let without_spare () = rc_design ~level:"bronze" ~n_active:5 ~n_spare:0
+
+let kat_config =
+  { Monte_carlo.replications = 8; horizon = Duration.of_years 10.; seed = 42 }
+
+let check_hex name expected v =
+  Alcotest.(check string) name expected (Printf.sprintf "%h" v)
+
+let check_hex_list name expected vs =
+  Alcotest.(check (list string)) name expected
+    (List.map (Printf.sprintf "%h") vs)
+
+let test_kat_downtime_fraction () =
+  check_hex "with a spare" "0x1.6b3a114318703p-11"
+    (Monte_carlo.downtime_fraction ~config:kat_config (with_spare ()));
+  check_hex "without a spare" "0x1.bf439e8bb289ep-7"
+    (Monte_carlo.downtime_fraction ~config:kat_config (without_spare ()))
+
+let test_kat_downtime_by_class () =
+  let check name expected m =
+    let by_class = Monte_carlo.downtime_by_class ~config:kat_config m in
+    Alcotest.(check (list string)) (name ^ ": labels")
+      [ "machineA/hard"; "machineA/soft"; "linux/soft"; "appserverA/soft" ]
+      (List.map fst by_class);
+    check_hex_list name expected (List.map snd by_class)
+  in
+  check "without a spare"
+    [
+      "0x1.ad1618ad942fdp-7"; "0x1.b05a3155eb6a6p-13";
+      "0x1.e87096de53698p-13"; "0x1.e52d5ea6af546p-14";
+    ]
+    (without_spare ());
+  check "with a spare"
+    [
+      "0x1.11e40453dcf12p-13"; "0x1.b153326c9ba69p-13";
+      "0x1.f556eca2abba2p-13"; "0x1.e8b443527addep-14";
+    ]
+    (with_spare ())
+
+let test_kat_shape_samples () =
+  let shapes =
+    {
+      Monte_carlo.failure = Monte_carlo.Weibull_shape 0.7;
+      repair = Monte_carlo.Lognormal_sigma 1.2;
+    }
+  in
+  check_hex_list "Weibull 0.7 failures, lognormal 1.2 repairs"
+    [
+      "0x1.12e37cde74063p-9"; "0x1.e82d477230711p-10";
+      "0x1.fdcba6345c299p-11"; "0x1.28947c750865fp-9";
+      "0x1.2d2bd1487048p-9"; "0x1.2d1cbfbaff938p-8";
+      "0x1.31d48788486a1p-10"; "0x1.4541e5d3130aep-10";
+    ]
+    (Array.to_list
+       (Monte_carlo.downtime_fraction_samples ~config:kat_config ~shapes
+          (with_spare ())))
+
+let test_kat_exceedance () =
+  let config =
+    { kat_config with replications = 32; horizon = Duration.of_years 1. }
+  in
+  check_hex "P(year over 7200 min)" "0x1.6p-2"
+    (Monte_carlo.exceedance_probability ~config (without_spare ())
+       ~budget:(Duration.of_minutes 7200.))
+
+let test_kat_job_completion () =
+  let m = without_spare () in
+  let job = { m with loss_window = Some (Duration.of_hours 2.) } in
+  let s =
+    Monte_carlo.job_completion_times ~config:kat_config job
+      ~job_size:(2000. *. m.effective_performance)
+  in
+  check_hex_list "mean, stddev, min, max"
+    [
+      "0x1.fff7a6eea3034p+10"; "0x1.b6c492b157d21p+5";
+      "0x1.f81c196b7f1ffp+10"; "0x1.10a291ac0a04cp+11";
+    ]
+    [ s.mean; s.stddev; s.min; s.max ]
+
+let test_kat_event_counts () =
+  let registry = Aved_telemetry.Telemetry.create () in
+  Aved_telemetry.Telemetry.with_registry registry (fun () ->
+      ignore (Monte_carlo.downtime_fraction ~config:kat_config (with_spare ())));
+  let read = Aved_telemetry.Telemetry.Counter.read_by_name registry in
+  Alcotest.(check (pair int int)) "sim.events, sim.replications" (14492, 8)
+    (read "sim.events", read "sim.replications")
+
+(* Engine C's event loop allocates almost nothing per event: the
+   random state, the event heap and the events themselves are unboxed,
+   and what remains is the boxing of float arguments and results across
+   module boundaries. On the 9+3, four-class frontier design at load
+   1000 the event loop read 54.3 minor-heap words per event before it
+   was rewritten around arrays and int-coded events. *)
+let test_allocation_per_event () =
+  let m = rc_design ~level:"gold" ~n_active:9 ~n_spare:3 in
+  let config =
+    { Monte_carlo.replications = 16; horizon = Duration.of_years 30.; seed = 42 }
+  in
+  let registry = Aved_telemetry.Telemetry.create () in
+  let before = Gc.minor_words () in
+  Aved_telemetry.Telemetry.with_registry registry (fun () ->
+      ignore (Monte_carlo.downtime_fraction ~config m));
+  let words = Gc.minor_words () -. before in
+  let events =
+    Aved_telemetry.Telemetry.Counter.read_by_name registry "sim.events"
+  in
+  let per_event = words /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per event over %d events (at most 16)"
+       per_event events)
+    true (per_event <= 16.)
+
 let () =
   Alcotest.run "avail"
     [
@@ -683,6 +814,23 @@ let () =
           Alcotest.test_case "exceedance monotone" `Slow
             test_exceedance_probability;
           Alcotest.test_case "evaluate facade" `Quick test_evaluate_facade;
+        ] );
+      ( "known-answers",
+        [
+          Alcotest.test_case "downtime fraction" `Quick
+            test_kat_downtime_fraction;
+          Alcotest.test_case "downtime by class" `Quick
+            test_kat_downtime_by_class;
+          Alcotest.test_case "shape ablation samples" `Quick
+            test_kat_shape_samples;
+          Alcotest.test_case "exceedance probability" `Quick
+            test_kat_exceedance;
+          Alcotest.test_case "job completion with a loss window" `Quick
+            test_kat_job_completion;
+          Alcotest.test_case "event and replication counts" `Quick
+            test_kat_event_counts;
+          Alcotest.test_case "minor words per simulated event" `Quick
+            test_allocation_per_event;
         ] );
       ( "tier-model",
         [

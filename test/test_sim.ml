@@ -20,6 +20,27 @@ let test_rng_copy_and_split () =
   Alcotest.(check bool) "splits differ" true
     (Rng.next_int64 s1 <> Rng.next_int64 s2)
 
+(* Known answers: every simulated figure is a function of this stream,
+   so its first outputs, and those of a generator split off after them,
+   are pinned for two seeds. *)
+let test_rng_known_answers () =
+  let check seed ~first ~after_split =
+    let rng = Rng.create seed in
+    let draws = List.map (fun _ -> Rng.next_int64 rng) first in
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) first draws;
+    let split = Rng.split rng in
+    let draws = List.map (fun _ -> Rng.next_int64 split) after_split in
+    Alcotest.(check (list int64))
+      (Printf.sprintf "seed %d, split" seed)
+      after_split draws
+  in
+  check 1
+    ~first:[ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ]
+    ~after_split:[ 1077443342560040426L; -453512824513800570L ];
+  check 42
+    ~first:[ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    ~after_split:[ -3524509440982052747L; -8948382647134174731L ]
+
 let test_float_bounds () =
   let rng = Rng.create 3 in
   for _ = 1 to 10000 do
@@ -86,40 +107,78 @@ let test_queue_ordering () =
          let q = Event_queue.create () in
          List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
          let rec drain last acc =
-           match Event_queue.pop q with
-           | None -> List.rev acc
-           | Some (t, _) ->
-               if t < last then Alcotest.failf "out of order: %g after %g" t last;
-               drain t (t :: acc)
+           if Event_queue.is_empty q then List.rev acc
+           else begin
+             let t = Event_queue.min_time q in
+             ignore (Event_queue.pop_min q);
+             if t < last then Alcotest.failf "out of order: %g after %g" t last;
+             drain t (t :: acc)
+           end
          in
          let drained = drain Float.neg_infinity [] in
          List.length drained = List.length times))
 
+(* Interleaved pushes and pops against a sorted-list model of the
+   queue: every pop must return the earliest (time, push order) event.
+   Times come from a small set so that ties are common. *)
+let test_queue_matches_model () =
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"pops follow (time, push order)" ~count:300
+       QCheck2.Gen.(list_size (int_range 0 300) (opt (int_range 0 20)))
+       (fun ops ->
+         let q = Event_queue.create () in
+         (* The model: (time, seq) pairs kept sorted. *)
+         let model = ref [] in
+         List.iteri
+           (fun seq op ->
+             match op with
+             | Some t ->
+                 let time = float_of_int t in
+                 Event_queue.push q ~time seq;
+                 model := List.merge compare !model [ (time, seq) ]
+             | None -> (
+                 match !model with
+                 | [] ->
+                     if not (Event_queue.is_empty q) then
+                       Alcotest.fail "queue not empty"
+                 | (time, seq) :: rest ->
+                     model := rest;
+                     if Event_queue.min_time q <> time then
+                       Alcotest.failf "min time %g, expected %g"
+                         (Event_queue.min_time q) time;
+                     let got = Event_queue.pop_min q in
+                     if got <> seq then
+                       Alcotest.failf "popped push %d, expected %d" got seq))
+           ops;
+         Event_queue.length q = List.length !model))
+
 let test_queue_fifo_ties () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:1. "first";
-  Event_queue.push q ~time:1. "second";
-  Event_queue.push q ~time:1. "third";
-  let pop () =
-    match Event_queue.pop q with Some (_, v) -> v | None -> Alcotest.fail "empty"
-  in
-  Alcotest.(check string) "fifo 1" "first" (pop ());
-  Alcotest.(check string) "fifo 2" "second" (pop ());
-  Alcotest.(check string) "fifo 3" "third" (pop ())
+  Event_queue.push q ~time:1. 10;
+  Event_queue.push q ~time:1. 20;
+  Event_queue.push q ~time:1. 30;
+  let pop () = Event_queue.pop_min q in
+  Alcotest.(check int) "fifo 1" 10 (pop ());
+  Alcotest.(check int) "fifo 2" 20 (pop ());
+  Alcotest.(check int) "fifo 3" 30 (pop ())
 
 let test_queue_basics () =
   let q = Event_queue.create () in
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
-  Alcotest.(check bool) "peek none" true (Event_queue.peek_time q = None);
-  Event_queue.push q ~time:5. ();
-  Event_queue.push q ~time:2. ();
+  Alcotest.(check (float 0.)) "empty min time" Float.infinity
+    (Event_queue.min_time q);
+  Event_queue.push q ~time:5. 0;
+  Event_queue.push q ~time:2. 1;
   Alcotest.(check int) "length" 2 (Event_queue.length q);
-  Alcotest.(check bool) "peek min" true (Event_queue.peek_time q = Some 2.);
+  Alcotest.(check (float 0.)) "min time" 2. (Event_queue.min_time q);
   Event_queue.clear q;
   Alcotest.(check bool) "cleared" true (Event_queue.is_empty q);
+  Alcotest.check_raises "pop from empty"
+    (Invalid_argument "Event_queue.pop_min: empty queue") (fun () ->
+      ignore (Event_queue.pop_min q));
   Alcotest.check_raises "non-finite time"
     (Invalid_argument "Event_queue.push: time inf") (fun () ->
-      Event_queue.push q ~time:Float.infinity ())
+      Event_queue.push q ~time:Float.infinity 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -165,6 +224,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "copy and split" `Quick test_rng_copy_and_split;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "float bounds" `Quick test_float_bounds;
           Alcotest.test_case "int distribution" `Quick test_int_bounds;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
@@ -175,6 +235,8 @@ let () =
       ( "event-queue",
         [
           Alcotest.test_case "ordering property" `Quick test_queue_ordering;
+          Alcotest.test_case "interleaved pops match a sorted model" `Quick
+            test_queue_matches_model;
           Alcotest.test_case "FIFO tie-break" `Quick test_queue_fifo_ties;
           Alcotest.test_case "basics" `Quick test_queue_basics;
         ] );

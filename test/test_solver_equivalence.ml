@@ -285,35 +285,47 @@ let test_incremental_vs_fresh () =
         diff
   done
 
+(* The solvers count into the installed telemetry registry; [counted f]
+   runs [f] under a fresh one and returns a reader of its counters. *)
+let counted f =
+  let registry = Telemetry.create () in
+  let result = Telemetry.with_registry registry f in
+  (result, Telemetry.Counter.read_by_name registry)
+
 let test_solver_counters_move () =
-  Ctmc.Solver.reset_counters ();
   let st = Random.State.make [| 0xc0; 3 |] in
   let chain = rand_chain st ~n:30 ~extra:30 in
-  let solver = Ctmc.Solver.create chain in
-  ignore (Ctmc.Solver.solve solver);
-  ignore (Ctmc.Solver.solve solver);
-  Ctmc.Solver.update_rate solver ~src:0 ~dst:1 ~rate:2.5;
-  ignore (Ctmc.Solver.solve solver);
-  let c = Ctmc.Solver.counters () in
-  Alcotest.(check bool) "a fresh solve happened" true (c.fresh >= 1);
-  Alcotest.(check bool) "the repeat was served from cache" true (c.cached >= 1);
-  Alcotest.(check int) "the rate update re-solved without a fresh build" 1
-    c.incremental;
-  Alcotest.(check int) "no power budget ran out" 0 c.fallback
+  let (), counter =
+    counted (fun () ->
+        let solver = Ctmc.Solver.create chain in
+        ignore (Ctmc.Solver.solve solver);
+        ignore (Ctmc.Solver.solve solver);
+        Ctmc.Solver.update_rate solver ~src:0 ~dst:1 ~rate:2.5;
+        ignore (Ctmc.Solver.solve solver))
+  in
+  Alcotest.(check (list int)) "fresh, cached, incremental, fallback"
+    [ 1; 1; 1; 0 ]
+    (List.map counter
+       [
+         "markov.solver.fresh"; "markov.solver.cached";
+         "markov.solver.incremental"; "markov.solver.fallback";
+       ])
 
 (* Above the dense limit a re-solve is power iteration started from the
    previous vector: it must still meet the solver's residual test, so
    it agrees with a cold power solve of the same chain. *)
 let test_power_warm_start () =
-  Ctmc.Solver.reset_counters ();
   let st = Random.State.make [| 0xbeef; 9 |] in
   let n = 2100 in
   let chain = rand_chain st ~n ~extra:n in
-  let solver = Ctmc.Solver.create chain in
-  ignore (Ctmc.Solver.solve solver);
   let src, dst, _ = List.hd (Ctmc.transitions chain) in
-  Ctmc.Solver.update_rate solver ~src ~dst ~rate:3.5;
-  let warm = Ctmc.Solver.solve solver in
+  let warm, counter =
+    counted (fun () ->
+        let solver = Ctmc.Solver.create chain in
+        ignore (Ctmc.Solver.solve solver);
+        Ctmc.Solver.update_rate solver ~src ~dst ~rate:3.5;
+        Ctmc.Solver.solve solver)
+  in
   let perturbed = Ctmc.create n in
   List.iter
     (fun (s, d, rate) ->
@@ -323,10 +335,10 @@ let test_power_warm_start () =
   let diff = Vector.max_abs_diff warm (Ctmc.stationary_power perturbed) in
   if diff > 1e-9 then
     Alcotest.failf "warm-started power differs from cold by %.3e" diff;
-  let c = Ctmc.Solver.counters () in
   Alcotest.(check (pair int int)) "fresh, incremental" (1, 1)
-    (c.fresh, c.incremental);
-  Alcotest.(check int) "converged without elimination" 0 c.fallback
+    (counter "markov.solver.fresh", counter "markov.solver.incremental");
+  Alcotest.(check int) "converged without elimination" 0
+    (counter "markov.solver.fallback")
 
 (* ------------------------------------------------------------------ *)
 (* The exact availability engine rides the same solver: perturbing one
@@ -366,13 +378,17 @@ let synthetic_model ~mttr_hours ~n_active =
 let test_exact_incremental_vs_fresh () =
   Avail.Exact.reset_solver_cache ();
   (* Warm the (j, N) skeleton, then perturb one MTTR and solve warm. *)
-  ignore (Avail.Exact.downtime_fraction (synthetic_model ~mttr_hours:8. ~n_active:5));
-  let warm =
-    Avail.Exact.downtime_fraction (synthetic_model ~mttr_hours:11. ~n_active:5)
+  let warm, counter =
+    counted (fun () ->
+        ignore
+          (Avail.Exact.downtime_fraction
+             (synthetic_model ~mttr_hours:8. ~n_active:5));
+        Avail.Exact.downtime_fraction
+          (synthetic_model ~mttr_hours:11. ~n_active:5))
   in
-  let counters = Avail.Exact.solver_counters () in
-  Alcotest.(check bool) "second solve reused the skeleton" true
-    (counters.incremental >= 1);
+  Alcotest.(check (pair int int)) "fresh, then a reuse of the skeleton"
+    (1, 1)
+    (counter "avail.exact.solve.fresh", counter "avail.exact.solve.incremental");
   (* From scratch: drop the cache and solve the perturbed model cold. *)
   Avail.Exact.reset_solver_cache ();
   let cold =
@@ -390,10 +406,13 @@ let test_exact_history_independent () =
   Avail.Exact.reset_solver_cache ();
   let alone = Avail.Exact.downtime_fraction y in
   Avail.Exact.reset_solver_cache ();
-  ignore (Avail.Exact.downtime_fraction x);
-  let after_x = Avail.Exact.downtime_fraction y in
+  let after_x, counter =
+    counted (fun () ->
+        ignore (Avail.Exact.downtime_fraction x);
+        Avail.Exact.downtime_fraction y)
+  in
   Alcotest.(check int) "y re-solved x's skeleton" 1
-    (Avail.Exact.solver_counters ()).incremental;
+    (counter "avail.exact.solve.incremental");
   if not (bits_equal [| alone |] [| after_x |]) then
     Alcotest.failf "y alone %.17g vs after x %.17g" alone after_x
 
@@ -405,7 +424,6 @@ let test_exact_solves_observed () =
   let registry = Telemetry.create () in
   Telemetry.with_registry registry @@ fun () ->
   Avail.Exact.reset_solver_cache ();
-  Ctmc.Solver.reset_counters ();
   let tr = Trace.create ~trace_id:"e8" () in
   let root = Trace.alloc_span_id tr in
   Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
@@ -438,12 +456,14 @@ let test_exact_solves_observed () =
          else None)
        spans);
   let counter = Telemetry.Counter.read_by_name registry in
-  Alcotest.(check (list int)) "gth solves, fresh, incremental, fallback"
-    [ 2; 1; 1; 0 ]
+  Alcotest.(check (list int))
+    "gth solves, solver fresh/incremental/fallback, exact fresh/incremental"
+    [ 2; 1; 1; 0; 1; 1 ]
     (List.map counter
        [
          "markov.gth.solves"; "markov.solver.fresh";
          "markov.solver.incremental"; "markov.solver.fallback";
+         "avail.exact.solve.fresh"; "avail.exact.solve.incremental";
        ]);
   match List.assoc_opt "markov.solve.states" (Telemetry.histograms registry) with
   | Some h ->
