@@ -78,14 +78,21 @@ let json_search_benchmark () =
     Search.Search_config.default
     |> Search.Search_config.with_jobs jobs
   in
+  (* Minor words come from [Gc.quick_stat], which sums over every
+     domain: [Gc.minor_words] alone would count only this one, not the
+     search pool's. Each figure joins its pool before returning, so
+     the sum is complete when it is read. *)
+  let minor_words () = (Gc.quick_stat ()).Gc.minor_words in
   let measure name f =
     let t = Telemetry.create () in
     Telemetry.install t;
+    let words0 = minor_words () in
     let t0 = Unix.gettimeofday () in
     let () = Fun.protect ~finally:Telemetry.uninstall f in
     let wall = Unix.gettimeofday () -. t0 in
+    let words = minor_words () -. words0 in
     let counter n = Telemetry.Counter.read_by_name t n in
-    (name, wall, counter)
+    (name, wall, words, counter)
   in
   let rows =
     [
@@ -102,7 +109,7 @@ let json_search_benchmark () =
   in
   let path = "BENCH_search.json" in
   let baseline = read_baseline path in
-  let total = List.fold_left (fun acc (_, w, _) -> acc +. w) 0. rows in
+  let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema_version\": 2,\n";
@@ -130,20 +137,20 @@ let json_search_benchmark () =
     (Printf.sprintf "  \"total_wall_seconds\": %.6f,\n" total);
   Buffer.add_string buf "  \"figures\": [\n";
   List.iteri
-    (fun i (name, wall, counter) ->
+    (fun i (name, wall, words, counter) ->
       let generated = counter "search.candidates.generated" in
       let evaluated = counter "search.candidates.evaluated" in
       let pruned = counter "search.candidates.pruned_by_incumbent" in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"wall_seconds\": %.6f, \
-            \"candidates_generated\": %d, \"candidates_evaluated\": %d, \
+            \"minor_words\": %.0f, \"candidates_generated\": %d, \"candidates_evaluated\": %d, \
             \"candidates_pruned\": %d, \"candidates_per_second\": %.1f, \
             \"downtime_fresh\": %d, \"downtime_reused\": %d, \
             \"solver_fresh\": %d, \"solver_incremental\": %d, \
             \"solver_fallback\": %d, \"solver_cached\": %d, \
             \"exact_fresh\": %d, \"exact_incremental\": %d}%s\n"
-           name wall generated evaluated pruned
+           name wall words generated evaluated pruned
            (float_of_int evaluated /. Float.max 1e-9 wall)
            (counter "search.eval.downtime.fresh")
            (counter "search.eval.downtime.reused")

@@ -65,9 +65,9 @@ let effective_performance_of ~option ~settings ~n =
 
 let minimum_actives ~(option : Model.Service.resource_option) ~settings ~demand
     =
-  List.find_opt
+  Seq.find
     (fun n -> n > 0 && effective_performance_of ~option ~settings ~n >= demand)
-    (Model.Int_range.to_list option.n_active)
+    (Model.Int_range.to_seq option.n_active)
 
 let effective_perf ~option ~(design : Model.Design.tier_design) ~n =
   effective_performance_of ~option ~settings:design.mechanism_settings ~n
@@ -240,7 +240,6 @@ module Skeleton = struct
     tier_name : string;
     option : Model.Service.resource_option;
     settings : (string * Model.Mechanism.setting) list;
-    candidates : int list; (* the option's nActive range, ascending *)
     eff : (int, float) Hashtbl.t; (* n -> effective performance *)
     n_min : (float, int option) Hashtbl.t; (* demand -> minimum actives *)
     n_min_dynamic : (float, dynamic_min) Hashtbl.t;
@@ -264,7 +263,6 @@ module Skeleton = struct
       tier_name;
       option;
       settings;
-      candidates = Model.Int_range.to_list option.n_active;
       eff = Hashtbl.create 8;
       n_min = Hashtbl.create 8;
       n_min_dynamic = Hashtbl.create 8;
@@ -295,9 +293,9 @@ module Skeleton = struct
     | Some answer -> answer
     | None ->
         let answer =
-          List.find_opt
+          Seq.find
             (fun n -> n > 0 && effective_performance skel ~n >= demand)
-            skel.candidates
+            (Model.Int_range.to_seq skel.option.n_active)
         in
         Hashtbl.add skel.n_min demand answer;
         answer

@@ -356,7 +356,6 @@ let dynamic_minimum ~option ~settings ~demand ~limit =
    claimed best case, trivial satisfiability raises its worst case. *)
 let region_triples ~infra ~tier_name ~(option : Model.Service.resource_option)
     ~demand ~max_extra ~max_spares =
-  let range = Model.Int_range.to_list option.n_active in
   let grid_or_small =
     match Model.Infrastructure.find_resource infra option.resource with
     | None -> Error "unknown resource"
@@ -383,10 +382,10 @@ let region_triples ~infra ~tier_name ~(option : Model.Service.resource_option)
             "dynamically sized with resource failure scope: needs a \
              throughput requirement (--load)"
       | _ -> (
-          let n_hi_cap = List.fold_left Stdlib.max 0 range in
+          let n_hi_cap = Model.Int_range.max_value option.n_active in
           let admissible =
             match demand with
-            | None -> range
+            | None -> Model.Int_range.to_list option.n_active
             | Some demand ->
                 (* n must make the option deliverable under at least one
                    settings assignment — the search's minimum_actives
@@ -400,10 +399,8 @@ let region_triples ~infra ~tier_name ~(option : Model.Service.resource_option)
                 let n_lo = List.fold_left Stdlib.min max_int minima in
                 if minima = [] then []
                 else
-                  List.filter
-                    (fun n ->
-                      n >= n_lo && n <= n_lo + max_extra + max_spares)
-                    range
+                  Model.Int_range.between option.n_active ~lo:n_lo
+                    ~hi:(n_lo + max_extra + max_spares)
           in
           if admissible = [] then Error "cannot deliver the demand at any size"
           else

@@ -98,21 +98,32 @@ let div a b =
           hi = Float.max (Float.max q1 q2) (Float.max q3 q4);
         }
 
+(* [top] is the only interval that admits NaN (see [mem]), and abs, min,
+   max, exp and pow all pass a NaN operand through: a [top] operand
+   therefore gives [top], never a bounded result that excludes it. *)
 let abs t =
-  if t.lo >= 0. then t
+  if is_top t then top
+  else if t.lo >= 0. then t
   else if t.hi <= 0. then neg t
   else { lo = 0.; hi = Float.max (-.t.lo) t.hi }
 
-let min_ a b = { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
-let max_ a b = { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
+let min_ a b =
+  if is_top a || is_top b then top
+  else { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
+
+let max_ a b =
+  if is_top a || is_top b then top
+  else { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
 
 (* exp is monotone; its result is strictly positive, so the downward
    nudge clamps at zero rather than crossing into negatives. *)
 let exp t =
-  {
-    lo = Float.max 0. (down (Float.exp t.lo));
-    hi = up (Float.exp t.hi);
-  }
+  if is_top t then top
+  else
+    {
+      lo = Float.max 0. (down (Float.exp t.lo));
+      hi = up (Float.exp t.hi);
+    }
 
 (* log of anything possibly negative could be NaN concretely. lo = 0 is
    fine: log 0 = -inf is a representable endpoint. *)
@@ -136,7 +147,7 @@ let ceil t = { lo = Float.ceil t.lo; hi = Float.ceil t.hi }
    exp is monotone, hence the corner powers bound the range. [**]
    composes two roundings, so nudge outward twice. *)
 let pow f g =
-  if f.lo <= 0. then top
+  if f.lo <= 0. || is_top g then top
   else
     let c1 = f.lo ** g.lo and c2 = f.lo ** g.hi in
     let c3 = f.hi ** g.lo and c4 = f.hi ** g.hi in

@@ -27,28 +27,66 @@ let explicit = function
         invalid_arg "Int_range.explicit: negative member";
       Explicit (List.sort_uniq Int.compare values)
 
-let to_list = function
-  | Singleton n -> [ n ]
+(* Successors stop before they would pass [hi], so a range that ends
+   near [max_int] never wraps around. *)
+let to_seq = function
+  | Singleton n -> Seq.return n
   | Arithmetic { lo; hi; step } ->
-      let rec loop n acc = if n > hi then List.rev acc else loop (n + step) (n :: acc) in
-      loop lo []
+      let rec from n () =
+        Seq.Cons (n, if n > hi - step then Seq.empty else from (n + step))
+      in
+      from lo
   | Geometric { lo; hi; factor } ->
-      let rec loop n acc = if n > hi then List.rev acc else loop (n * factor) (n :: acc) in
-      loop lo []
+      let rec from n () =
+        Seq.Cons (n, if n > hi / factor then Seq.empty else from (n * factor))
+      in
+      from lo
+  | Explicit values -> List.to_seq values
+
+let to_list = function
   | Explicit values -> values
+  | (Singleton _ | Arithmetic _ | Geometric _) as t -> List.of_seq (to_seq t)
+
+let between t ~lo ~hi =
+  match t with
+  | Arithmetic { lo = first; hi = last; step } ->
+      let lo = max lo first and hi = min hi last in
+      (* The last member <= hi, then the first member >= lo counted
+         down from it, so no intermediate sum can overflow. *)
+      let top = first + ((hi - first) / step * step) in
+      if lo > hi || top < lo then []
+      else
+        let bottom = top - ((top - lo) / step * step) in
+        let rec down n acc =
+          if n < bottom then acc else down (n - step) (n :: acc)
+        in
+        down top []
+  | Singleton _ | Geometric _ | Explicit _ ->
+      to_seq t
+      |> Seq.drop_while (fun n -> n < lo)
+      |> Seq.take_while (fun n -> n <= hi)
+      |> List.of_seq
 
 let mem t n =
   match t with
   | Singleton v -> v = n
   | Arithmetic { lo; hi; step } -> n >= lo && n <= hi && (n - lo) mod step = 0
-  | Geometric _ | Explicit _ -> List.mem n (to_list t)
+  | Geometric _ | Explicit _ -> Seq.exists (Int.equal n) (to_seq t)
 
-let min_value t = match to_list t with [] -> assert false | n :: _ -> n
+let min_value = function
+  | Singleton n -> n
+  | Arithmetic { lo; _ } | Geometric { lo; _ } -> lo
+  | Explicit values -> List.hd values
 
-let max_value t =
-  match List.rev (to_list t) with [] -> assert false | n :: _ -> n
+let max_value = function
+  | Singleton n -> n
+  | Arithmetic { lo; hi; step } -> lo + ((hi - lo) / step * step)
+  | Geometric { lo; hi; factor } ->
+      let rec up n = if n > hi / factor then n else up (n * factor) in
+      up lo
+  | Explicit values -> List.nth values (List.length values - 1)
 
-let next_above t n = List.find_opt (fun v -> v >= n) (to_list t)
+let next_above t n = Seq.find (fun v -> v >= n) (to_seq t)
 
 let of_string text =
   let text = String.trim text in

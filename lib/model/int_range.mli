@@ -24,9 +24,23 @@ val explicit : int list -> t
 val to_list : t -> int list
 (** All members in increasing order, without duplicates. *)
 
+val to_seq : t -> int Seq.t
+(** The members of {!to_list}, in the same order, produced on demand:
+    a scan that stops early never builds the rest of a wide range. *)
+
+val between : t -> lo:int -> hi:int -> int list
+(** [between t ~lo ~hi] is the members in [[lo, hi]] in increasing
+    order — [List.filter (fun n -> lo <= n && n <= hi) (to_list t)] —
+    built in time proportional to its length for [Arithmetic] ranges.
+    Empty when [hi < lo]. *)
+
 val mem : t -> int -> bool
+
 val min_value : t -> int
+(** The first member of {!to_list}, without building it. *)
+
 val max_value : t -> int
+(** The last member of {!to_list}, without building it. *)
 
 val next_above : t -> int -> int option
 (** [next_above t n] is the smallest member [>= n], if any — the search

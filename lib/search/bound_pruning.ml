@@ -193,9 +193,7 @@ let frontier_witness config infra ~tier_name
                 | exception Avail.Tier_model.Rejected _ -> None
                 | model, downtime -> Some (cost, downtime, model_label model)
                 ))
-          (List.filter
-             (fun n_active -> n_active >= 0 && n_active <= total)
-             (Model.Int_range.to_list option.n_active))
+          (Model.Int_range.between option.n_active ~lo:0 ~hi:total)
       in
       match witnesses with
       | [] -> None

@@ -19,6 +19,10 @@ type key = {
 
 type entry = {
   key : key;
+  (* The infrastructure the entry was derived from: its spare-mode
+     fan-out must be derived from the same one, whatever the domain's
+     cache has moved on to since. *)
+  infra : Model.Infrastructure.t;
   skel : Avail.Tier_model.Skeleton.t;
   (* Downtime tables for the models this entry instantiates with and
      without spares. Shared across every entry of the domain whose
@@ -150,6 +154,7 @@ let entry ~infra ~tier_name ~option ~settings ~spare_active =
       let entry =
         {
           key;
+          infra;
           skel;
           downtime_spare = downtime_table state skel ~spares:true;
           downtime_nospare = downtime_table state skel ~spares:false;
@@ -197,13 +202,7 @@ let spare_entries base =
   match base.spares with
   | Some pairs -> pairs
   | None ->
-      let state = Domain.DLS.get state_key in
-      let infra =
-        match state.infra with
-        | Some infra -> infra
-        | None ->
-            invalid_arg "Eval_cache.spare_entries: entry outlived its cache"
-      in
+      let infra = base.infra in
       let { tier_name; option; settings; _ } = base.key in
       let resource =
         Model.Infrastructure.resource_exn infra option.Model.Service.resource

@@ -50,7 +50,10 @@ val settings_entries :
 val spare_entries : entry -> (string list * entry) list
 (** The spare-operational-mode fan-out of the entry's combination in
     [Resource.downward_closed_subsets] order — the empty mode maps to
-    the entry itself — memoized on the entry. *)
+    the entry itself — memoized on the entry. The fan-out is derived
+    from the infrastructure the entry was made under, even when the
+    calling domain's cache has since moved to another one (the
+    domain's cache then moves back, as {!entry} would). *)
 
 val skeleton : entry -> Aved_avail.Tier_model.Skeleton.t
 

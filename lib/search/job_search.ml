@@ -319,9 +319,9 @@ let enumerate_reduced ?pool config infra ~tier_name
   end
 
 let start_total ~(option : Model.Service.resource_option) ~job_size ~max_time =
-  List.find_opt
+  Seq.find
     (fun n -> feasible_n ~option ~job_size ~max_time n)
-    (Model.Int_range.to_list option.n_active)
+    (Model.Int_range.to_seq option.n_active)
 
 let option_limit config (option : Model.Service.resource_option) =
   Stdlib.min config.Search_config.max_total_resources

@@ -52,13 +52,15 @@ let eval_settings config _infra ~tier_name
       and pruned = ref 0
       and rejected = ref 0
       and bound_pruned = ref 0 in
+      (* The admissible window of the combination: at least the
+         minimum that meets the demand and at most max_extra_resources
+         more, leaving at most max_spares of [total] as spares. *)
       let n_values =
-        List.filter
-          (fun n ->
-            n >= n_min && n <= total
-            && n - n_min <= config.Search_config.max_extra_resources
-            && total - n <= config.Search_config.max_spares)
-          (Model.Int_range.to_list option.n_active)
+        Model.Int_range.between option.n_active
+          ~lo:(Stdlib.max n_min (total - config.Search_config.max_spares))
+          ~hi:
+            (Stdlib.min total
+               (n_min + config.Search_config.max_extra_resources))
       in
       List.iter
         (fun n_active ->

@@ -459,6 +459,26 @@ let optimal_differential =
            "demand %g budget %g min: unpruned %s vs pruned %s" demand
            budget_minutes off on)
 
+(* The shrunk counterexample [if min(sqrt(-100), -100) <= c then ...]:
+   sqrt of a negative is NaN, and NaN passes through min, so the
+   abstract min must keep the NaN-admitting [top] rather than bound it
+   to [-inf, -100] and decide the branch. *)
+let test_nan_passes_through () =
+  let nan_ = Interval.sqrt (Interval.point (-100.)) in
+  Alcotest.(check bool) "sqrt of a negative admits NaN" true
+    (Interval.mem Float.nan nan_);
+  List.iter
+    (fun (name, iv) ->
+      Alcotest.(check bool) (name ^ " admits NaN") true
+        (Interval.mem Float.nan iv))
+    [
+      ("min", Interval.min_ nan_ (Interval.point (-100.)));
+      ("max", Interval.max_ (Interval.point 3.) nan_);
+      ("abs", Interval.abs nan_);
+      ("exp", Interval.exp nan_);
+      ("pow", Interval.pow (Interval.point 2.) nan_);
+    ]
+
 let () =
   Alcotest.run "absint"
     [
@@ -468,6 +488,8 @@ let () =
           qtest abstract_eval_sound;
           qtest monotonicity_sound;
           qtest bounds_contain_analytic;
+          Alcotest.test_case "NaN passes through min, max, abs, exp, pow"
+            `Quick test_nan_passes_through;
         ] );
       ( "certificates",
         [

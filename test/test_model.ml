@@ -36,7 +36,31 @@ let test_int_range_queries () =
   Alcotest.(check (option int)) "next_above exact" (Some 6) (Int_range.next_above r 6);
   Alcotest.(check (option int)) "next_above between" (Some 6) (Int_range.next_above r 5);
   Alcotest.(check (option int)) "next_above beyond" None (Int_range.next_above r 11);
-  Alcotest.(check string) "to_string roundtrip" "[2-10,+2]" (Int_range.to_string r)
+  Alcotest.(check string) "to_string roundtrip" "[2-10,+2]" (Int_range.to_string r);
+  Alcotest.(check int) "max off-step" 8
+    (Int_range.max_value (Int_range.of_string "[2-10,+3]"));
+  Alcotest.(check int) "max geometric" 64
+    (Int_range.max_value (Int_range.of_string "[1-100,*4]"));
+  Alcotest.(check int) "min geometric" 3
+    (Int_range.min_value (Int_range.of_string "[3-100,*2]"));
+  Alcotest.(check int) "max explicit" 9
+    (Int_range.max_value (Int_range.of_string "[5,9,1]"));
+  Alcotest.(check int) "min explicit" 1
+    (Int_range.min_value (Int_range.of_string "[5,9,1]"));
+  Alcotest.(check (list int)) "between" [ 4; 6; 8 ]
+    (Int_range.between r ~lo:3 ~hi:9);
+  Alcotest.(check (list int)) "between empty" []
+    (Int_range.between r ~lo:7 ~hi:5);
+  (* Ranges ending at [max_int] enumerate without wrapping around. *)
+  let top = Int_range.arithmetic ~lo:(max_int - 10) ~hi:max_int ~step:4 in
+  Alcotest.(check (list int)) "to_list near max_int"
+    [ max_int - 10; max_int - 6; max_int - 2 ]
+    (Int_range.to_list top);
+  Alcotest.(check (list int)) "between near max_int"
+    [ max_int - 6; max_int - 2 ]
+    (Int_range.between top ~lo:(max_int - 9) ~hi:max_int);
+  Alcotest.(check int) "max geometric near max_int" ((max_int lsr 1) + 1)
+    (Int_range.max_value (Int_range.geometric ~lo:1 ~hi:max_int ~factor:2))
 
 (* ------------------------------------------------------------------ *)
 (* Components & mechanisms *)

@@ -127,6 +127,38 @@ let int_range_next_above =
           && not (List.exists (fun x -> x >= n && x < v) (Int_range.to_list r))
       | None -> List.for_all (fun x -> x < n) (Int_range.to_list r))
 
+(* The members of [r] straight from its constructor's definition,
+   independent of the library's enumeration. *)
+let int_range_reference = function
+  | Int_range.Singleton n -> [ n ]
+  | Int_range.Arithmetic { lo; hi; step } ->
+      List.filter (fun n -> (n - lo) mod step = 0) (List.init (hi - lo + 1) (( + ) lo))
+  | Int_range.Geometric { lo; hi; factor } ->
+      let rec powers n = if n > hi then [] else n :: powers (n * factor) in
+      powers lo
+  | Int_range.Explicit values -> values
+
+let int_range_to_seq =
+  QCheck2.Test.make ~name:"Int_range.to_seq and to_list enumerate the members"
+    ~count:300 gen_int_range (fun r ->
+      List.of_seq (Int_range.to_seq r) = Int_range.to_list r
+      && Int_range.to_list r = List.sort_uniq Int.compare (int_range_reference r))
+
+let int_range_between =
+  QCheck2.Test.make ~name:"Int_range.between filters to_list to [lo, hi]"
+    ~count:500
+    QCheck2.Gen.(triple gen_int_range (int_range (-10) 260) (int_range (-10) 260))
+    (fun (r, lo, hi) ->
+      Int_range.between r ~lo ~hi
+      = List.filter (fun n -> lo <= n && n <= hi) (Int_range.to_list r))
+
+let int_range_extremes =
+  QCheck2.Test.make ~name:"min_value and max_value are to_list's ends"
+    ~count:300 gen_int_range (fun r ->
+      let members = Int_range.to_list r in
+      Int_range.min_value r = List.hd members
+      && Int_range.max_value r = List.nth members (List.length members - 1))
+
 (* ------------------------------------------------------------------ *)
 (* Reliability *)
 
@@ -362,6 +394,9 @@ let () =
           qtest int_range_mem_consistent;
           qtest int_range_sorted;
           qtest int_range_next_above;
+          qtest int_range_to_seq;
+          qtest int_range_between;
+          qtest int_range_extremes;
         ] );
       ( "reliability",
         [ qtest k_out_of_n_monotone_in_k; qtest series_bounded_by_weakest ] );

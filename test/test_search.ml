@@ -752,6 +752,138 @@ let test_eval_cache_downtimes () =
   Alcotest.(check int) "reload recomputes" fresh fresh'';
   Alcotest.(check int) "reload reuses as the first sweep did" reused reused''
 
+(* Every occurrence of [sub] in [text] replaced by [by]. *)
+let replace_all ~sub ~by text =
+  let n = String.length sub in
+  let buf = Buffer.create (String.length text) in
+  let rec go i =
+    if i > String.length text - n then
+      Buffer.add_string buf (String.sub text i (String.length text - i))
+    else if String.equal (String.sub text i n) sub then begin
+      Buffer.add_string buf by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char buf text.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+(* A spare-mode fan-out is derived from the infrastructure of the
+   entry it fans out, not from whatever infrastructure the calling
+   domain's cache holds by then. [B] differs from [A] in the machine's
+   costs and the application server's failure rate, so a fan-out
+   built from the wrong one shows in both. *)
+let test_eval_cache_spare_entries_keep_infra () =
+  Eval_cache.reset ();
+  let infra_a = infra () in
+  let infra_b =
+    let replace ~sub ~by text =
+      let text' = replace_all ~sub ~by text in
+      if String.equal text text' then Alcotest.failf "spec lacks %S" sub;
+      text'
+    in
+    Aved.Experiments.infrastructure_spec
+    |> replace ~sub:"cost([inactive,active])=[2400 2640]"
+         ~by:"cost([inactive,active])=[3100 3500]"
+    |> replace
+         ~sub:
+           "component=appserverA cost([inactive,active])=[0 1700]\n\
+           \  failure=soft mtbf=60d"
+         ~by:
+           "component=appserverA cost([inactive,active])=[0 1700]\n\
+           \  failure=soft mtbf=20d"
+    |> Aved_spec.Spec.infrastructure_of_string
+  in
+  let tier = app_tier () in
+  let tier_name = tier.Service.tier_name in
+  let option =
+    List.find
+      (fun (o : Service.resource_option) -> String.equal o.resource "rC")
+      tier.Service.options
+  in
+  let settings =
+    List.hd
+      (Eval_cache.settings_product infra_a
+         (Infrastructure.resource_exn infra_a "rC"))
+  in
+  let base_a =
+    Eval_cache.entry ~infra:infra_a ~tier_name ~option ~settings
+      ~spare_active:[]
+  in
+  (* Move the domain's cache over to B. *)
+  ignore
+    (Eval_cache.entry ~infra:infra_b ~tier_name ~option ~settings
+       ~spare_active:[]);
+  let pairs = Eval_cache.spare_entries base_a in
+  Alcotest.(check bool) "several spare modes" true (List.length pairs > 1);
+  List.iter
+    (fun (spare_active, entry) ->
+      let skeleton infra =
+        Aved_avail.Tier_model.Skeleton.make ~infra ~tier_name ~option
+          ~settings ~spare_active
+      in
+      let expected = skeleton infra_a and other = skeleton infra_b in
+      let got = Eval_cache.skeleton entry in
+      let cost skel =
+        Money.to_float
+          (Aved_avail.Tier_model.Skeleton.tier_cost skel ~n_active:3
+             ~n_spare:2)
+      in
+      let classes skel = Aved_avail.Tier_model.Skeleton.classes skel ~spares:true in
+      let mode = String.concat "+" spare_active in
+      Alcotest.(check bool) (mode ^ ": A and B differ") true
+        (cost expected <> cost other && classes expected <> classes other);
+      Alcotest.(check (float 0.)) (mode ^ ": A's cost") (cost expected)
+        (cost got);
+      Alcotest.(check bool) (mode ^ ": A's classes") true
+        (classes got = classes expected))
+    pairs
+
+(* ------------------------------------------------------------------ *)
+(* Search cost does not grow with the width of the nActive range *)
+
+(* The e-commerce design at one requirement, as the wire API's JSON,
+   with the minor words the search allocated on this domain. Each run
+   starts from an empty evaluation cache and a freshly parsed
+   infrastructure, so neither run reuses the other's work. *)
+let ecommerce_design_run ~n_active =
+  let service =
+    Aved_spec.Spec.service_of_string
+      (replace_all ~sub:"nActive=[1-1000,+1]" ~by:("nActive=" ^ n_active)
+         Aved.Experiments.ecommerce_spec)
+  in
+  let infra = infra () in
+  Eval_cache.reset ();
+  let words0 = Gc.minor_words () in
+  let report =
+    Service_search.design config infra service
+      (Requirements.enterprise ~throughput:1000.
+         ~max_annual_downtime:(Duration.of_minutes 100.))
+  in
+  let words = Gc.minor_words () -. words0 in
+  let json =
+    Aved_api.Api.design_result_of_report report
+    |> Aved_api.Api.design_result_to_json
+    |> Aved_api.Api.Json.to_string
+  in
+  (json, words)
+
+let test_search_cost_independent_of_range_width () =
+  (* An unmeasured first run, so one-time set-up is not charged to
+     either measured one. *)
+  ignore (ecommerce_design_run ~n_active:"[1-1000,+1]");
+  let narrow, narrow_words = ecommerce_design_run ~n_active:"[1-1000,+1]" in
+  let wide, wide_words = ecommerce_design_run ~n_active:"[1-100000,+1]" in
+  Alcotest.(check string) "same answer" narrow wide;
+  let ratio = Float.max narrow_words wide_words /. Float.min narrow_words wide_words in
+  if ratio > 1.25 then
+    Alcotest.failf
+      "minor words %.0f at [1-1000,+1] vs %.0f at [1-100000,+1] (%.2fx)"
+      narrow_words wide_words ratio
+
 let () =
   Alcotest.run "search"
     [
@@ -817,6 +949,13 @@ let () =
         [
           Alcotest.test_case "downtimes are Engine A's, reuse counted once"
             `Quick test_eval_cache_downtimes;
+          Alcotest.test_case "spare modes keep the entry's infrastructure"
+            `Quick test_eval_cache_spare_entries_keep_infra;
+        ] );
+      ( "range width",
+        [
+          Alcotest.test_case "wide nActive: same answer, same allocation"
+            `Quick test_search_cost_independent_of_range_width;
         ] );
       ( "service",
         [

@@ -1214,10 +1214,16 @@ let coalescing_stat field =
   | _ -> Alcotest.fail "stats result is not an object"
 
 (* Park both dispatchers on distinct blocker designs so a subsequent
-   herd's leader sits queued while its twins arrive and attach. *)
+   herd's leader sits queued while its twins arrive and attach. An
+   e-commerce design takes about 2 ms, so it takes a queue of them to
+   keep the dispatchers busy while the herd is sent on a loaded host.
+   The blockers use the herd's specs: a request naming other spec files
+   would present the search cache with another infrastructure. *)
+let blocker_count = 24
+
 let with_parked_dispatchers ~blocker_load f =
   let blockers =
-    Array.init 4 (fun j ->
+    Array.init blocker_count (fun j ->
         let c = connect_client () in
         send_only c
           (Protocol.request_line ~id:(Json.Int (-1 - j)) Protocol.Design
@@ -1279,7 +1285,7 @@ let test_coalescing_herd () =
     true
     (coalesced >= herd_size / 2);
   let searches =
-    stats_counter "server.requests.design" - searches_before - 4 (* blockers *)
+    stats_counter "server.requests.design" - searches_before - blocker_count
   in
   Alcotest.(check bool)
     (Printf.sprintf "few underlying searches (%d)" searches)
@@ -1294,7 +1300,7 @@ let test_error_broadcast () =
   let herd = Array.init herd_size (fun _ -> connect_client ()) in
   Fun.protect ~finally:(fun () -> Array.iter close_client herd) @@ fun () ->
   let errors =
-    with_parked_dispatchers ~blocker_load:4210. @@ fun () ->
+    with_parked_dispatchers ~blocker_load:4300. @@ fun () ->
     Array.iteri
       (fun k c ->
         send_only c
