@@ -16,7 +16,7 @@
      asserts design p99 within the daemon's default SLO latency budget
      (nonzero exit on violation, so CI fails loudly).
    - herd: every connection fires the same never-before-seen design
-     request at once while the dispatchers are parked on blockers;
+     request at once while the search domains are parked on blockers;
      asserts >= 90% of the responses are coalesced broadcasts and
      counts the underlying searches via the server's own counters.
 
@@ -273,12 +273,12 @@ let run_warm specs socket ~conns ~duration =
     coalesced )
 
 (* Herd: [conns] connections fire one identical never-seen design
-   request while every dispatcher is parked on a distinct blocker, so
+   request while every search domain is parked on a distinct blocker, so
    the herd's leader is still queued when its twins arrive — the
    thundering-herd case coalescing exists for. The server's own
    [server.requests.design] counter says how many searches actually
    ran underneath. *)
-let run_herd specs socket ~conns ~dispatchers ~control_ic ~control_oc =
+let run_herd specs socket ~conns ~jobs ~control_ic ~control_oc =
   let design_count () =
     let stats =
       result_of_response
@@ -288,10 +288,10 @@ let run_herd specs socket ~conns ~dispatchers ~control_ic ~control_oc =
   in
   let before = design_count () in
   let herd = Array.init conns (fun _ -> connect socket) in
-  (* Two distinct blockers per dispatcher: the herd leader sits queued
+  (* Two distinct blockers per search domain: the herd leader sits queued
      for about two search-lengths, a comfortable window for the event
      loop to admit and attach every twin even under scheduler noise. *)
-  let blockers = Array.init (2 * dispatchers) (fun _ -> connect socket) in
+  let blockers = Array.init (2 * jobs) (fun _ -> connect socket) in
   Fun.protect
     ~finally:(fun () ->
       Array.iter close_client herd;
@@ -375,7 +375,6 @@ let baseline_rps = function
 
 type outcome = {
   jobs : int;
-  dispatchers : int;
   conns : int;
   duration : float;
   cold_requests : int;
@@ -412,7 +411,7 @@ let run_bench ~conns ~duration () =
   let config =
     { (Server.default_config (Server.Unix_socket socket)) with Server.jobs }
   in
-  if conns + config.Server.dispatchers + 1 > config.Server.max_conns then
+  if conns + (2 * jobs) + 1 > config.Server.max_conns then
     failwith "--conns exceeds the server's connection bound";
   let server = Server.create config in
   let runner = Thread.create Server.run server in
@@ -434,8 +433,7 @@ let run_bench ~conns ~duration () =
     run_warm specs socket ~conns ~duration
   in
   let herd_coalesced, herd_underlying =
-    run_herd specs socket ~conns ~dispatchers:config.Server.dispatchers
-      ~control_ic:ic ~control_oc:oc
+    run_herd specs socket ~conns ~jobs ~control_ic:ic ~control_oc:oc
   in
   Gc.compact ();
   let heap_words_after = (Gc.stat ()).Gc.heap_words in
@@ -446,7 +444,6 @@ let run_bench ~conns ~duration () =
   let slo = obj_field stats "slo" in
   {
     jobs;
-    dispatchers = config.Server.dispatchers;
     conns;
     duration;
     cold_requests;
@@ -501,8 +498,8 @@ let print_summary indent s =
 
 let print_human o =
   Printf.printf
-    "aved serve bench: jobs=%d dispatchers=%d conns=%d duration=%.0fs\n\n"
-    o.jobs o.dispatchers o.conns o.duration;
+    "aved serve bench: jobs=%d conns=%d duration=%.0fs\n\n"
+    o.jobs o.conns o.duration;
   Printf.printf "cold (first touch, 1 conn): %d requests in %.3f s\n"
     o.cold_requests o.cold_wall;
   print_summary "  design: " o.cold_design;
@@ -542,7 +539,6 @@ let print_json o =
   add "{\n";
   add "  \"schema_version\": 3,\n";
   add "  \"jobs\": %d,\n" o.jobs;
-  add "  \"dispatchers\": %d,\n" o.dispatchers;
   add "  \"conns\": %d,\n" o.conns;
   add "  \"duration_seconds\": %.1f,\n" o.duration;
   add "  \"cold\": {\"requests\": %d, \"wall_seconds\": %.6f, \"design\": %s},\n"

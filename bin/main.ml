@@ -619,11 +619,23 @@ let serve_cmd =
       & info [ "tcp" ] ~docv:"HOST:PORT"
           ~doc:"Listen on TCP $(docv) (port 0 lets the kernel pick).")
   in
+  let jobs_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Search domains beside the event loop's (defaults to the \
+             runtime's recommended domain count). Each takes admitted \
+             requests in turn and, between requests, helps the other \
+             domains' searches. No search runs on the event loop's domain. \
+             Design and frontier answers are identical for every value.")
+  in
   let dispatchers_arg =
     Arg.(
       value & opt int 2
       & info [ "dispatchers" ] ~docv:"N"
-          ~doc:"Worker threads answering requests.")
+          ~doc:"Ignored; the $(b,--jobs) search domains answer requests.")
   in
   let queue_arg =
     Arg.(
@@ -721,9 +733,9 @@ let serve_cmd =
             "How many completed sampled traces the daemon retains for the \
              $(i,trace) verb before evicting the oldest.")
   in
-  let run socket tcp jobs dispatchers queue max_conns coalesce send_timeout
-      deadline log_path slo_target slo_latency_ms slo_window trace_sample
-      trace_ring =
+  let run socket tcp jobs (_dispatchers : int) queue max_conns coalesce
+      send_timeout deadline log_path slo_target slo_latency_ms slo_window
+      trace_sample trace_ring =
     handle_errors (fun () ->
         let transport =
           match (socket, tcp) with
@@ -764,11 +776,7 @@ let serve_cmd =
             if v < 1 then
               failwith
                 (Printf.sprintf "%s must be a positive integer (got %d)" flag v))
-          [
-            ("--dispatchers", dispatchers);
-            ("--queue", queue);
-            ("--max-conns", max_conns);
-          ];
+          [ ("--queue", queue); ("--max-conns", max_conns) ];
         if max_conns > 1000 then
           failwith
             (Printf.sprintf "--max-conns must be at most 1000 (got %d)"
@@ -791,7 +799,6 @@ let serve_cmd =
           {
             (Server.default_config transport) with
             Server.jobs;
-            dispatchers;
             queue_capacity = queue;
             max_conns;
             coalesce;
@@ -919,7 +926,7 @@ let top_cmd =
        ~doc:
          "Live dashboard over a running aved serve daemon: per-verb latency \
           percentiles from the server's own histograms, request rate, \
-          queue/dispatcher occupancy, and the SLO error-budget readout. \
+          queue/search-domain occupancy, and the SLO error-budget readout. \
           With $(b,--metrics), scrape the Prometheus text exposition once \
           and print it.")
     Term.(

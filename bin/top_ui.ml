@@ -2,7 +2,7 @@
 
    Polls the daemon's [stats] verb on an interval and renders per-verb
    latency percentiles (from the server's own log-bucketed histograms),
-   interval request rate, queue/dispatcher occupancy and the SLO
+   interval request rate, queue/search-domain occupancy and the SLO
    error-budget readout. With [--metrics] it instead scrapes the
    [metrics] verb once and prints the Prometheus text body verbatim —
    the same scrape a monitoring agent would do, usable from CI. *)
@@ -128,11 +128,11 @@ let render ~endpoint ~prev stats =
        (num queue "deadline_exceeded"));
   Buffer.add_string buf
     (Printf.sprintf
-       "queue     %.0f/%.0f (high water %.0f)   dispatchers %.0f/%.0f busy   \
-        conns %.0f   heap %.1f MW\n"
+       "queue     %.0f/%.0f (high water %.0f)   search domains %.0f/%.0f \
+        busy   conns %.0f   heap %.1f MW\n"
        (num queue "depth") (num queue "capacity") (num queue "high_water")
-       (num gauges "server.dispatchers.busy")
-       (num gauges "server.dispatchers.total")
+       (num gauges "server.pool.busy")
+       (num gauges "server.pool.domains")
        (num conns "live")
        (num gauges "server.gc.heap_words" /. 1e6));
   Buffer.add_string buf

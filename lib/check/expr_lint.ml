@@ -80,15 +80,6 @@ let rec lint ~bindings ~(report : reporter) (expr : Expr.t) =
       recurse then_;
       recurse else_
 
-(* Cap probing so huge nActive ranges stay cheap. *)
-let sample_up_to limit values =
-  let n = List.length values in
-  if n <= limit then values
-  else
-    let arr = Array.of_list values in
-    List.init limit (fun i -> arr.(i * (n - 1) / (limit - 1)))
-    |> List.sort_uniq Int.compare
-
 let report_drop ~(report : reporter) probe ns =
   let evaluated =
     List.filter_map
@@ -117,8 +108,9 @@ let report_drop ~(report : reporter) probe ns =
 (* An expression is first attacked with the difference-quotient
    analysis: a nonnegative quotient interval over the whole [n] box
    proves monotonicity for every admissible count, not just the probed
-   ones. Sampling remains as the fallback for the unproven cases — it
-   also supplies the concrete witness pair the diagnostic quotes.
+   ones. Probing [n_values] remains as the fallback for the unproven
+   cases — it also supplies the concrete witness pair the diagnostic
+   quotes.
    Tables need no sampling cap at all: piecewise-linear functions are
    monotone iff they are monotone at their breakpoints, so probing the
    breakpoints inside the range (plus its endpoints) is exact. *)
@@ -145,7 +137,7 @@ let check_monotone_performance ~n_values ~(report : reporter)
         | Abstract_expr.Nonincreasing | Abstract_expr.Unknown -> false
         | exception _ -> false
       in
-      if not proven_monotone then report_drop ~report probe (sample_up_to 64 ns)
+      if not proven_monotone then report_drop ~report probe ns
   | `Table points, ns ->
       let probe n = Aved_perf.Perf_function.eval perf ~n in
       let lo = List.hd ns and hi = List.nth ns (List.length ns - 1) in

@@ -23,10 +23,12 @@ val check_monotone_performance :
   Aved_perf.Perf_function.t ->
   unit
 (** Reports ["non-monotone"] (Warning) when throughput decreases as
-    resources are added. Expressions are first run through the
-    difference-quotient analysis of {!Abstract_expr.monotonicity},
-    which proves monotonicity over the whole declared range; only
-    unproven expressions fall back to point sampling (up to 64 probes),
-    which also supplies the concrete witness pair in the message.
-    Tables are checked exactly at their breakpoints. Constant functions
-    are exempt. *)
+    resources are added. [n_values] are the counts to probe; their
+    least and greatest bound the declared range, so a caller samples a
+    wide range rather than listing it ([Int_range.spread]).
+    Expressions are first run through the difference-quotient analysis
+    of {!Abstract_expr.monotonicity}, which proves monotonicity over
+    the whole range between those bounds; only unproven expressions
+    fall back to probing every [n_values] member, which also supplies
+    the concrete witness pair in the message. Tables are checked
+    exactly at their breakpoints. Constant functions are exempt. *)

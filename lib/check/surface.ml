@@ -322,7 +322,7 @@ let scan_service ~file ~(infra : infra_scan option) lines =
         (match (acc.o_performance, acc.o_n_active) with
         | Some (perf, psp), Some range ->
             Expr_lint.check_monotone_performance
-              ~n_values:(Int_range.to_list range)
+              ~n_values:(Int_range.spread range ~count:64)
               ~report:(expr_reporter psp) perf
         | _ -> ());
         current := None

@@ -86,6 +86,23 @@ let max_value = function
       up lo
   | Explicit values -> List.nth values (List.length values - 1)
 
+let spread t ~count =
+  if count < 2 then invalid_arg "Int_range.spread: count must be >= 2";
+  (* Rank floor (i (n - 1) / (count - 1)), split so no product can
+     overflow however wide the range. *)
+  let pick n nth =
+    if n <= count then List.init n nth
+    else
+      let q = (n - 1) / (count - 1) and r = (n - 1) mod (count - 1) in
+      List.init count (fun i -> nth ((i * q) + (i * r / (count - 1))))
+  in
+  match t with
+  | Arithmetic { lo; hi; step } ->
+      pick (((hi - lo) / step) + 1) (fun k -> lo + (k * step))
+  | Singleton _ | Geometric _ | Explicit _ ->
+      let members = Array.of_list (to_list t) in
+      pick (Array.length members) (Array.get members)
+
 let next_above t n = Seq.find (fun v -> v >= n) (to_seq t)
 
 let of_string text =

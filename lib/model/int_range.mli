@@ -42,6 +42,13 @@ val min_value : t -> int
 val max_value : t -> int
 (** The last member of {!to_list}, without building it. *)
 
+val spread : t -> count:int -> int list
+(** [spread t ~count] is at most [count] members spread evenly over
+    {!to_list}: all of them when there are at most [count], else the
+    members at ranks [i * (n - 1) / (count - 1)] for [i < count], so
+    both ends are included. Built without enumerating an [Arithmetic]
+    range. Raises [Invalid_argument] when [count < 2]. *)
+
 val next_above : t -> int -> int option
 (** [next_above t n] is the smallest member [>= n], if any — the search
     uses this to round a performance-derived minimum up to an admissible

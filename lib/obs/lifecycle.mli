@@ -48,8 +48,8 @@ val start :
 val stamp : t -> string -> unit
 (** Mark the end of the named stage at the current wall clock. Stages
     must be stamped in lifecycle order by whichever thread holds the
-    request; a lifecycle is owned by one thread at a time (reader,
-    then dispatcher), never shared. *)
+    request; a lifecycle is owned by one thread at a time (the event
+    loop, then a search domain), never shared. *)
 
 val trace_id : t -> string
 val verb : t -> string

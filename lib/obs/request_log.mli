@@ -1,7 +1,7 @@
 (** The daemon's structured event log: one JSON object per line.
 
     Opened once at daemon start ([aved serve --log FILE]) and written
-    by reader and dispatcher threads alike, so writes are serialized
+    by the event loop and the search domains alike, so writes are serialized
     by a mutex and each record is flushed whole — a line is never
     interleaved with another and survives a crash of the next request.
     Every record carries at least ["ts"] (wall-clock seconds) and

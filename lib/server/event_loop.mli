@@ -1,7 +1,7 @@
 (** The serve daemon's readiness reactor.
 
     One thread (the event loop) blocks in {!wait} on the fds it is
-    interested in; other threads (dispatchers finishing a request,
+    interested in; other threads (search domains finishing a request,
     signal-adjacent code) call {!wakeup} to make the current {!wait}
     return early so the loop notices new pending writes or a stop
     flag. Wakeup is a classic self-pipe: a byte written to an internal

@@ -15,7 +15,7 @@
     Thread-safety: [claim] and [complete] may race freely across
     threads. The server's discipline is stronger — all claims happen
     on the event-loop thread at admission time, completes on
-    dispatcher threads — but the registry does not rely on it. *)
+    search domains — but the registry does not rely on it. *)
 
 type ('w, 'r) t
 

@@ -4,7 +4,6 @@ module Api = Aved_api.Api
 module Model = Aved_model
 module Duration = Aved_units.Duration
 module Pool = Aved_parallel.Pool
-module Bounded_queue = Aved_parallel.Bounded_queue
 module Trace_id = Aved_obs.Trace_id
 module Lifecycle = Aved_obs.Lifecycle
 module Slo = Aved_obs.Slo
@@ -53,14 +52,14 @@ let queue_depth_gauge = Telemetry.Gauge.make "server.queue.depth"
 let request_seconds = Telemetry.Histogram.make "server.request.seconds"
 let queue_wait_seconds = Telemetry.Histogram.make "server.queue.wait.seconds"
 
-(* Observability gauges: connection/queue/dispatcher occupancy is set
-   where it changes; GC, runtime and SLO gauges are sampled at scrape
-   time ([metrics], [stats], SIGUSR1) — see [set_runtime_gauges]. *)
+(* Observability gauges: connection counts and the queue's high-water
+   mark are set where they change; queue depth, pool occupancy, GC,
+   runtime and SLO gauges are sampled at scrape time ([metrics],
+   [stats], SIGUSR1) — see [set_runtime_gauges]. *)
 let connections_live_gauge = Telemetry.Gauge.make "server.connections.live"
 let queue_high_water_gauge = Telemetry.Gauge.make "server.queue.high_water"
 let queue_capacity_gauge = Telemetry.Gauge.make "server.queue.capacity"
-let dispatchers_busy_gauge = Telemetry.Gauge.make "server.dispatchers.busy"
-let dispatchers_total_gauge = Telemetry.Gauge.make "server.dispatchers.total"
+let pool_busy_gauge = Telemetry.Gauge.make "server.pool.busy"
 let inflight_gauge = Telemetry.Gauge.make "server.coalesced.inflight"
 let spec_cache_entries_gauge = Telemetry.Gauge.make "server.spec_cache.entries"
 let uptime_gauge = Telemetry.Gauge.make "server.uptime.seconds"
@@ -136,7 +135,6 @@ type transport = Unix_socket of string | Tcp of { host : string; port : int }
 type config = {
   transport : transport;
   jobs : int;
-  dispatchers : int;
   queue_capacity : int;
   max_conns : int;
   coalesce : bool;
@@ -159,7 +157,6 @@ let default_config transport =
   {
     transport;
     jobs = Domain.recommended_domain_count ();
-    dispatchers = 2;
     queue_capacity = 128;
     max_conns = 900;
     coalesce = true;
@@ -184,8 +181,8 @@ let out_kill_bytes = 8 * 1024 * 1024
 (* Connections *)
 
 (* One event-loop thread owns every fd: it accepts, reads, parses and
-   closes. Dispatcher threads never touch a socket — they enqueue
-   response bytes under [out_mutex] and wake the loop, which flushes
+   closes. Search domains never accept, read or close a socket — they
+   enqueue response bytes under [out_mutex] and wake the loop, which flushes
    when the fd is writable. [conn_open] (under [out_mutex]) is the
    enqueue guard; only the event loop clears it and closes the fd, so
    the fd is never used after close (no fd-reuse races). Fields other
@@ -232,9 +229,8 @@ type t = {
   listen_fd : Unix.file_descr;
   port : int option;
   loop : Event_loop.t;
-  queue : job Bounded_queue.t;
   inflight : (waiter, verdict) Inflight.t;
-  pool : Pool.t;
+  pool : Pool.t;  (** Search domains; its lane is the admission queue. *)
   search_config : Aved_search.Search_config.t;
   specs : Spec_cache.t;
   registry : Telemetry.t;
@@ -247,11 +243,8 @@ type t = {
   snapshot_requested : bool Atomic.t; (* set by SIGUSR1 *)
   next_conn_id : int Atomic.t;
   queue_high_water : int Atomic.t;
-  dispatchers_busy : int Atomic.t;
-  dispatchers_alive : int Atomic.t;
   connections_live : int Atomic.t;
   conns : (Unix.file_descr, conn) Hashtbl.t;  (* event-loop thread only *)
-  mutable dispatcher_threads : Thread.t list;
 }
 
 (* Write as much of the backlog as the socket accepts right now.
@@ -287,12 +280,12 @@ let flush_locked conn =
 
 (* Enqueue a response line and try to write it out inline — the fast
    path. With an empty backlog and a draining peer the write usually
-   completes here, on the dispatcher's own thread, and the event loop
+   completes here, on the search domain that answered, and the event loop
    never hears about the response at all; only a partial write (slow
    reader) or a newly-dead connection needs the loop woken, for write
    interest or the sweep. Never blocks: the fd is non-blocking and the
-   inline flush stops at EAGAIN. Called from dispatcher threads and
-   from the event loop itself. *)
+   inline flush stops at EAGAIN. Called from search domains and from
+   the event loop itself. *)
 let send_line t conn line =
   Mutex.lock conn.out_mutex;
   let accepted = conn.conn_open && not conn.out_dead in
@@ -629,14 +622,11 @@ let set_runtime_gauges t =
     (Process_stats.live_threads ());
   Telemetry.Gauge.set uptime_gauge (Telemetry.now_seconds () -. t.started_at);
   Telemetry.Gauge.set pool_domains_gauge (float_of_int t.config.jobs);
-  Telemetry.Gauge.set dispatchers_total_gauge
-    (float_of_int t.config.dispatchers);
-  Telemetry.Gauge.set dispatchers_busy_gauge
-    (float_of_int (Atomic.get t.dispatchers_busy));
+  Telemetry.Gauge.set pool_busy_gauge (float_of_int (Pool.lane_busy t.pool));
   Telemetry.Gauge.set queue_depth_gauge
-    (float_of_int (Bounded_queue.length t.queue));
+    (float_of_int (Pool.lane_depth t.pool));
   Telemetry.Gauge.set queue_capacity_gauge
-    (float_of_int (Bounded_queue.capacity t.queue));
+    (float_of_int t.config.queue_capacity);
   Telemetry.Gauge.set queue_high_water_gauge
     (float_of_int (Atomic.get t.queue_high_water));
   Telemetry.Gauge.set inflight_gauge (float_of_int (Inflight.length t.inflight));
@@ -693,8 +683,8 @@ let handle_stats t ~version =
       ( "queue",
         Json.Obj
           [
-            ("depth", Json.Int (Bounded_queue.length t.queue));
-            ("capacity", Json.Int (Bounded_queue.capacity t.queue));
+            ("depth", Json.Int (Pool.lane_depth t.pool));
+            ("capacity", Json.Int t.config.queue_capacity);
             ("high_water", Json.Int (Atomic.get t.queue_high_water));
             ( "shed",
               Json.Int (Telemetry.Counter.read t.registry shed_counter) );
@@ -732,8 +722,10 @@ let handle_stats t ~version =
         Json.Obj
           [
             ("entries", Json.Int (Spec_cache.length t.specs));
-            ("hits", Json.Int (Spec_cache.hits t.specs));
-            ("misses", Json.Int (Spec_cache.misses t.specs));
+            ( "hits",
+              Json.Int (Telemetry.Counter.read t.registry Spec_cache.hits) );
+            ( "misses",
+              Json.Int (Telemetry.Counter.read t.registry Spec_cache.misses) );
           ] );
       ( "counters",
         Json.Obj
@@ -760,7 +752,7 @@ let handle_stats t ~version =
 (* Answer one attached waiter from the leader's verdict: personalized
    envelope (its own id, negotiated version, trace id) around the
    shared result, [coalesced:true] on v2 success. Runs on the leader's
-   dispatcher thread; stage spans for waiters skip "queue" — they
+   search domain; stage spans for waiters skip "queue" — they
    never occupied a queue slot. *)
 let broadcast_waiter t ~body w (verdict : verdict) =
   let lc = w.w_lifecycle in
@@ -785,7 +777,15 @@ let broadcast_waiter t ~body w (verdict : verdict) =
   Atomic.decr w.w_conn.outstanding;
   finish_lifecycle t lc ~outcome
 
+(* Every minor collection also stops the event loop's domain, a context
+   switch each way where they share a CPU, so each search domain sizes
+   its own minor heap at 1 Mi words: a quarter of the collections. *)
+let search_domain_gc =
+  Domain.DLS.new_key (fun () ->
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 })
+
 let handle_request t (job : job) =
+  Domain.DLS.get search_domain_gc;
   let request = job.request in
   let lc = job.lifecycle in
   Lifecycle.stamp lc "queue";
@@ -891,29 +891,6 @@ let handle_request t (job : job) =
       if waiters > 0 then
         Telemetry.Counter.add coalesced_broadcasts_counter waiters
 
-let rec dispatcher_loop t =
-  match Bounded_queue.pop t.queue with
-  | None -> ()
-  | Some job ->
-      Telemetry.Gauge.set queue_depth_gauge
-        (float_of_int (Bounded_queue.length t.queue));
-      Atomic.incr t.dispatchers_busy;
-      Telemetry.Gauge.set dispatchers_busy_gauge
-        (float_of_int (Atomic.get t.dispatchers_busy));
-      Fun.protect
-        ~finally:(fun () ->
-          Atomic.decr t.dispatchers_busy;
-          Telemetry.Gauge.set dispatchers_busy_gauge
-            (float_of_int (Atomic.get t.dispatchers_busy)))
-        (fun () -> handle_request t job);
-      dispatcher_loop t
-
-let dispatcher_main t =
-  dispatcher_loop t;
-  Atomic.decr t.dispatchers_alive;
-  (* The drain loop waits on this count; wake it promptly. *)
-  Event_loop.wakeup t.loop
-
 (* ------------------------------------------------------------------ *)
 (* Admission (event-loop thread) *)
 
@@ -932,7 +909,7 @@ let raise_high_water t depth =
     (float_of_int (Atomic.get t.queue_high_water))
 
 (* Answer an error from the event loop itself (parse failures, shed,
-   draining): the request never reaches a dispatcher. *)
+   draining): the request never reaches a search domain. *)
 let refuse t conn lifecycle ~version ~id code message =
   Telemetry.Counter.incr responses_error;
   send_line t conn
@@ -942,7 +919,11 @@ let refuse t conn lifecycle ~version ~id code message =
   Lifecycle.stamp lifecycle "write";
   finish_lifecycle t lifecycle ~outcome:(outcome_of_code code)
 
-let try_enqueue t conn lifecycle request key =
+(* Hand a request to the search domains, or answer the refusal when
+   the lane is full or closed; true when it was queued. [outstanding]
+   counts the request before any domain can answer it, so the sweep
+   never sees the count dip below zero. *)
+let enqueue t conn lifecycle (request : Protocol.request) key =
   let job =
     {
       conn;
@@ -952,30 +933,28 @@ let try_enqueue t conn lifecycle request key =
       key;
     }
   in
-  if Bounded_queue.try_push t.queue job then begin
-    Atomic.incr conn.outstanding;
-    let depth = Bounded_queue.length t.queue in
-    Telemetry.Gauge.set queue_depth_gauge (float_of_int depth);
-    raise_high_water t depth;
-    true
-  end
-  else false
-
-let refuse_capacity t conn lifecycle (request : Protocol.request) =
-  let version = request.Protocol.version in
-  if Bounded_queue.closed t.queue then
-    refuse t conn lifecycle ~version ~id:request.Protocol.id
-      Protocol.Shutting_down "server is draining; retry elsewhere"
-  else begin
-    Telemetry.Counter.incr shed_counter;
-    refuse t conn lifecycle ~version ~id:request.Protocol.id Protocol.Overloaded
-      (Printf.sprintf "admission queue is full (capacity %d); retry later"
-         (Bounded_queue.capacity t.queue))
-  end
+  Atomic.incr conn.outstanding;
+  let refuse = refuse t conn lifecycle ~version:request.Protocol.version in
+  match Pool.submit t.pool (fun () -> handle_request t job) with
+  | `Queued ->
+      raise_high_water t (Pool.lane_depth t.pool);
+      true
+  | `Closed ->
+      Atomic.decr conn.outstanding;
+      refuse ~id:request.Protocol.id Protocol.Shutting_down
+        "server is draining; retry elsewhere";
+      false
+  | `Full ->
+      Atomic.decr conn.outstanding;
+      Telemetry.Counter.incr shed_counter;
+      refuse ~id:request.Protocol.id Protocol.Overloaded
+        (Printf.sprintf "admission queue is full (capacity %d); retry later"
+           t.config.queue_capacity);
+      false
 
 (* Admission decides coalescing: a work request whose content hash
    matches an in-flight computation attaches as a waiter — consuming
-   no queue slot and no dispatcher — and is answered by the leader's
+   no queue slot and no search domain — and is answered by the leader's
    broadcast. All claims happen here, on the single event-loop thread,
    so a Leader claim and its queue push cannot interleave with another
    claim for the same key. *)
@@ -983,9 +962,7 @@ let admit t conn lifecycle (request : Protocol.request) =
   Lifecycle.stamp lifecycle "admit";
   let key = if t.config.coalesce then Protocol.coalesce_key request else None in
   match key with
-  | None ->
-      if not (try_enqueue t conn lifecycle request None) then
-        refuse_capacity t conn lifecycle request
+  | None -> ignore (enqueue t conn lifecycle request None)
   | Some key -> (
       let waiter =
         {
@@ -1000,7 +977,7 @@ let admit t conn lifecycle (request : Protocol.request) =
           Telemetry.Counter.incr coalesced_counter;
           Atomic.incr conn.outstanding
       | `Leader ->
-          if not (try_enqueue t conn lifecycle request (Some key)) then begin
+          if not (enqueue t conn lifecycle request (Some key)) then
             (* Remove the claim so the key does not wedge; any waiter
                that could have attached in between would be broadcast
                the same refusal (none can, on this single thread). *)
@@ -1008,13 +985,11 @@ let admit t conn lifecycle (request : Protocol.request) =
               (Inflight.complete t.inflight ~key
                  ~result:
                    (Error (Protocol.Overloaded, "admission queue is full"))
-                 ~broadcast:(broadcast_waiter t ~body:(lazy "")));
-            refuse_capacity t conn lifecycle request
-          end)
+                 ~broadcast:(broadcast_waiter t ~body:(lazy ""))))
 
 (* The head-sampling decision is taken here, once per request line:
    sampled requests get a span collector that rides the lifecycle to
-   the dispatcher and into the engines. Deciding from the trace id
+   the search domain and into the engines. Deciding from the trace id
    keeps it deterministic and free of shared state. *)
 let start_lifecycle t ~verb ~conn_id ~req_id ~now =
   let trace_id = Trace_id.fresh () in
@@ -1237,8 +1212,6 @@ let bind_listener = function
       (fd, port)
 
 let create config =
-  if config.dispatchers < 1 then
-    invalid_arg "Server.create: dispatchers must be >= 1";
   if config.max_conns < 1 || config.max_conns > max_conns_ceiling then
     invalid_arg
       (Printf.sprintf "Server.create: max_conns must be within [1, %d]"
@@ -1285,9 +1258,10 @@ let create config =
       listen_fd;
       port;
       loop = Event_loop.create ();
-      queue = Bounded_queue.create ~capacity:config.queue_capacity;
       inflight = Inflight.create ();
-      pool = Pool.create ~jobs:config.jobs;
+      pool =
+        Pool.create_serving ~jobs:config.jobs
+          ~lane_capacity:config.queue_capacity;
       search_config;
       specs = Spec_cache.create ();
       registry;
@@ -1300,11 +1274,8 @@ let create config =
       snapshot_requested = Atomic.make false;
       next_conn_id = Atomic.make 0;
       queue_high_water = Atomic.make 0;
-      dispatchers_busy = Atomic.make 0;
-      dispatchers_alive = Atomic.make config.dispatchers;
       connections_live = Atomic.make 0;
       conns = Hashtbl.create 64;
-      dispatcher_threads = [];
     }
   in
   Option.iter
@@ -1318,8 +1289,6 @@ let create config =
           ("slo_window_s", Json.Float config.slo.Slo.window_s);
         ])
     t.log;
-  t.dispatcher_threads <-
-    List.init config.dispatchers (fun _ -> Thread.create dispatcher_main t);
   t
 
 let stop t =
@@ -1357,7 +1326,7 @@ let run t =
        | Unix_socket path -> (
            try Unix.unlink path with Unix.Unix_error _ -> ())
        | Tcp _ -> ());
-       Bounded_queue.close t.queue;
+       Pool.close_lane t.pool;
        drain_deadline :=
          Some (Telemetry.now_seconds () +. t.config.send_timeout_s +. 1.0)
      end);
@@ -1367,8 +1336,10 @@ let run t =
     List.iter (close_conn t) !closes;
     let draining = !drain_deadline <> None in
     let read_set = if draining then !reads else t.listen_fd :: !reads in
+    (* Nothing wakes the loop when the lane settles: poll while draining. *)
     let readable, writable =
-      Event_loop.wait t.loop ~read:read_set ~write:!writes ~timeout:0.25
+      Event_loop.wait t.loop ~read:read_set ~write:!writes
+        ~timeout:(if draining then 0.01 else 0.25)
     in
     List.iter
       (fun fd ->
@@ -1384,21 +1355,19 @@ let run t =
           | Some conn -> handle_readable t buf conn
           | None -> ())
       readable;
-    (* Drain exit: every dispatcher has exited (the queue is closed and
-       empty, so every admitted request was answered and every waiter
+    (* Drain exit: the lane is closed and empty and no request is
+       running (so every admitted request was answered and every waiter
        broadcast) and every backlog byte flushed — or the grace period
        lapsed (a stalled client cannot hold shutdown hostage). *)
     match !drain_deadline with
     | None -> ()
     | Some deadline ->
-        let dispatchers_done = Atomic.get t.dispatchers_alive = 0 in
         let pending =
           Hashtbl.fold (fun _ c acc -> acc + c.out_bytes) t.conns 0
         in
-        if (dispatchers_done && pending = 0) || now > deadline then
+        if (Pool.lane_settled t.pool && pending = 0) || now > deadline then
           finished := true
   done;
-  List.iter Thread.join t.dispatcher_threads;
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (close_conn t) remaining;
   Event_loop.close t.loop;

@@ -7,22 +7,24 @@
     One {e event loop} (the thread calling {!run}) owns every socket:
     it accepts non-blocking connections, reads ready fds into
     per-connection {!Framing} buffers, parses complete lines, and
-    admits requests to a bounded queue ({!Aved_parallel.Bounded_queue}).
-    Responses are enqueued into per-connection write buffers and
-    flushed when the fd is writable, so an idle connection costs a
-    buffer and a readiness entry instead of a thread. Admission never
-    blocks: when the queue is full the request is shed with an
-    explicit [overloaded] error response, so a burst degrades into
-    visible backpressure rather than unbounded buffering. A fixed set
-    of {e dispatcher threads} dequeues requests and answers them on a
-    single shared {!Aved_parallel.Pool} of search domains.
+    admits requests to the request lane of a {!Aved_parallel.Pool} of
+    [jobs] search domains. Responses are enqueued into per-connection
+    write buffers and flushed when the fd is writable, so an idle
+    connection costs a buffer and a readiness entry instead of a
+    thread. Admission never blocks: when the lane is full the request
+    is shed with an explicit [overloaded] error response, so a burst
+    degrades into visible backpressure rather than unbounded
+    buffering. Each search domain takes a request, answers it, and
+    between requests helps the other domains' searches with their
+    {!Aved_parallel.Pool.map} slots. No search runs on the event
+    loop's domain, and each search domain runs one thread.
 
     {2 Coalescing}
 
     Work requests (design/frontier/explain/check) carry a content-hash
     identity ({!Protocol.coalesce_key}). When a request's key matches
     a computation already in flight, it {e attaches} as a waiter
-    ({!Inflight}) instead of being queued: the leader's dispatcher
+    ({!Inflight}) instead of being queued: the leader's search domain
     broadcasts the shared verdict — success or error — to every
     waiter, each wrapped in its own envelope (own [id], own trace id,
     [coalesced:true] on v2). A thundering herd of N identical requests
@@ -34,11 +36,11 @@
     256 KiB the loop stops reading its socket (so it cannot submit
     further work), and a backlog making no write progress for
     [send_timeout_s] (or exceeding 8 MiB) drops the connection —
-    a slow reader cannot wedge a dispatcher or the loop.
+    a slow reader cannot wedge a search domain or the loop.
 
     Warm state shared by every request: the domain pool (each domain
-    keeps its own {!Aved_search.Eval_cache}; dispatcher threads share
-    domain 0's), a content-hash cache of parsed specification pairs
+    keeps its own {!Aved_search.Eval_cache}, used by that domain's one
+    thread alone), a content-hash cache of parsed specification pairs
     ({!Spec_cache}), and a telemetry registry whose counters and
     histograms the [stats] verb reports.
 
@@ -72,9 +74,10 @@ type transport = Unix_socket of string | Tcp of { host : string; port : int }
 
 type config = {
   transport : transport;
-  jobs : int;  (** Domains of the shared search pool. *)
-  dispatchers : int;  (** Request worker threads. *)
-  queue_capacity : int;  (** Admission queue bound. *)
+  jobs : int;
+      (** Search domains, beside the event loop's: each takes admitted
+          requests and helps the others' searches. *)
+  queue_capacity : int;  (** Admission queue (request lane) bound. *)
   max_conns : int;
       (** Concurrent connection bound (within [1, 1000] — the event
           loop multiplexes with [Unix.select], whose FD_SETSIZE is
@@ -120,17 +123,17 @@ type config = {
 }
 
 val default_config : transport -> config
-(** [jobs = Domain.recommended_domain_count ()], 2 dispatchers, a
-    128-request queue, 900 connections, coalescing on, no default
-    deadline, 4096 retained spans per domain, a 10 s send timeout, no
-    request log, {!Aved_obs.Slo.default_config} (99.9% of work requests within
-    50 ms over a 5-minute window), tracing off ([trace_sample = 0.])
-    with a 256-trace ring and 2048 spans per trace. *)
+(** [jobs = Domain.recommended_domain_count ()], a 128-request queue,
+    900 connections, coalescing on, no default deadline, 4096 retained
+    spans per domain, a 10 s send timeout, no request log,
+    {!Aved_obs.Slo.default_config} (99.9% of work requests within 50 ms
+    over a 5-minute window), tracing off ([trace_sample = 0.]) with a
+    256-trace ring and 2048 spans per trace. *)
 
 type t
 
 val create : config -> t
-(** Binds and listens on the transport, spawns the dispatcher threads
+(** Binds and listens on the transport, spawns the search domains
     and installs the server's telemetry registry. Raises
     [Unix.Unix_error] when the address cannot be bound,
     [Invalid_argument] on non-positive sizes or an out-of-range
@@ -141,7 +144,7 @@ val create : config -> t
 
 val run : t -> unit
 (** The event loop. Returns after {!stop}, once every admitted request
-    has been answered and every thread joined. Call from the thread
+    has been answered and every search domain joined. Call from the thread
     that owns the server's lifetime (the CLI's main thread, or a
     dedicated thread when embedding, as the bench does). *)
 

@@ -1,7 +1,7 @@
 module Telemetry = Aved_telemetry.Telemetry
 
-let hit_counter = Telemetry.Counter.make "server.spec_cache.hits"
-let miss_counter = Telemetry.Counter.make "server.spec_cache.misses"
+let hits = Telemetry.Counter.make "server.spec_cache.hits"
+let misses = Telemetry.Counter.make "server.spec_cache.misses"
 
 type key = {
   k_infra_file : string;
@@ -20,26 +20,18 @@ type t = {
   mutex : Mutex.t;
   table : (key, loaded) Hashtbl.t;
   capacity : int;
-  mutable hit_count : int;
-  mutable miss_count : int;
 }
 
 let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Spec_cache.create: capacity must be >= 1";
-  {
-    mutex = Mutex.create ();
-    table = Hashtbl.create 16;
-    capacity;
-    hit_count = 0;
-    miss_count = 0;
-  }
+  { mutex = Mutex.create (); table = Hashtbl.create 16; capacity }
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* Parse, cross-validate and check outside the lock: a slow parse must
-   not stall dispatchers answering from warm content. The worst case is
+   not stall search domains answering from warm content. The worst case is
    two threads racing the same miss and both computing — the results are
    equal, and the second [Hashtbl.replace] is harmless. *)
 let load t ~infra_file ~service_file =
@@ -53,11 +45,10 @@ let load t ~infra_file ~service_file =
   in
   match locked t (fun () -> Hashtbl.find_opt t.table key) with
   | Some loaded ->
-      Telemetry.Counter.incr hit_counter;
-      locked t (fun () -> t.hit_count <- t.hit_count + 1);
+      Telemetry.Counter.incr hits;
       loaded
   | None ->
-      Telemetry.Counter.incr miss_counter;
+      Telemetry.Counter.incr misses;
       let infra, service = Aved_spec.Spec.load ~infra_file ~service_file in
       let check_errors =
         Aved_check.Check.check_files [ infra_file; service_file ]
@@ -66,11 +57,8 @@ let load t ~infra_file ~service_file =
       in
       let loaded = { infra; service; check_errors } in
       locked t (fun () ->
-          t.miss_count <- t.miss_count + 1;
           if Hashtbl.length t.table >= t.capacity then Hashtbl.reset t.table;
           Hashtbl.replace t.table key loaded);
       loaded
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
-let hits t = locked t (fun () -> t.hit_count)
-let misses t = locked t (fun () -> t.miss_count)

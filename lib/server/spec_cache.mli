@@ -32,5 +32,8 @@ val load : t -> infra_file:string -> service_file:string -> loaded
     specifications and [Sys_error] when a file cannot be read. *)
 
 val length : t -> int
-val hits : t -> int
-val misses : t -> int
+
+val hits : Aved_telemetry.Telemetry.Counter.h
+val misses : Aved_telemetry.Telemetry.Counter.h
+(** Lookups answered from the cache, and lookups that parsed and
+    checked, counted in the installed telemetry registry. *)

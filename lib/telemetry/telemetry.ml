@@ -380,9 +380,10 @@ module Context = struct
 
   let key () = Type.Id.make ()
 
-  (* Bindings are per-*thread*, not per-domain: the daemon's dispatcher
-     threads share domain 0, so Domain.DLS would bleed one request's
-     bindings into a concurrent request. Every thread's bindings live in
+  (* Bindings are per-*thread*, not per-domain: a domain can run several
+     systhreads (domain 0 runs the daemon's reactor beside whatever
+     threads an embedding program starts), and Domain.DLS would let one
+     thread see another's bindings. Every thread's bindings live in
      one immutable map behind an atomic, keyed by [Thread.id]: readers
      never lock, and with nothing bound anywhere a read is one atomic
      load. Only a thread itself writes its entry (copy-on-write under

@@ -125,9 +125,10 @@ end
     trail ([Aved_search.Provenance]) — without threading them through
     every signature.
 
-    Bindings are per-{e thread}, not per-domain (the daemon's
-    dispatcher threads share a domain, so domain-local storage would
-    bleed one request's bindings into another). Pool worker domains
+    Bindings are per-{e thread}, not per-domain: a domain can run
+    several systhreads (domain 0 runs the daemon's reactor beside
+    whatever threads an embedding program starts), and domain-local
+    storage would let one thread see another's bindings. Pool worker domains
     adopt them for the duration of each task:
     {!Aved_parallel.Pool.map} {!Context.capture}s the caller's bindings
     once per batch and runs every task under {!Context.with_captured}.

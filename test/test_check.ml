@@ -194,6 +194,53 @@ let test_written_specs_check_clean () =
   List.iter Sys.remove specs;
   Sys.rmdir dir
 
+let replace_once ~sub ~by text =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length text then
+      Alcotest.failf "%S does not occur in the text" sub
+    else if String.sub text i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub text 0 i ^ by
+  ^ String.sub text (i + n) (String.length text - i - n)
+
+(* The checker's cost does not grow with the width of an nActive
+   range: the monotonicity lint probes a rank-spread sample of the
+   range, never the whole of it. The e-commerce pair is checked at the
+   shipped [1-1000,+1] and at [1-100000,+1], from the same paths so the
+   diagnostics compare byte for byte. *)
+let test_check_cost_independent_of_range_width () =
+  let dir = Filename.temp_file "aved_width" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let infra = Filename.concat dir "infrastructure.spec" in
+  let service = Filename.concat dir "ecommerce.spec" in
+  write_file infra Aved.Experiments.infrastructure_spec;
+  let check ~n_active =
+    write_file service
+      (replace_once ~sub:"nActive=[1-1000,+1]" ~by:("nActive=" ^ n_active)
+         Aved.Experiments.ecommerce_spec);
+    let words0 = Gc.minor_words () in
+    let diags = Check.check_files [ infra; service ] in
+    (Check.render_human diags, Gc.minor_words () -. words0)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove [ infra; service ];
+      Sys.rmdir dir)
+  @@ fun () ->
+  ignore (check ~n_active:"[1-1000,+1]");
+  let narrow, narrow_words = check ~n_active:"[1-1000,+1]" in
+  let wide, wide_words = check ~n_active:"[1-100000,+1]" in
+  Alcotest.(check string) "same diagnostics" narrow wide;
+  if wide_words > 2. *. narrow_words then
+    Alcotest.failf
+      "minor words %.0f at [1-1000,+1] vs %.0f at [1-100000,+1] (%.1fx)"
+      narrow_words wide_words
+      (wide_words /. narrow_words)
+
 (* ------------------------------------------------------------------ *)
 (* CTMC well-formedness on hand-built chains. *)
 
@@ -402,6 +449,8 @@ let () =
         [
           Alcotest.test_case "written specs check clean" `Quick
             test_written_specs_check_clean;
+          Alcotest.test_case "wide nActive: same diagnostics, same allocation"
+            `Quick test_check_cost_independent_of_range_width;
         ] );
       ( "ctmc",
         [

@@ -159,6 +159,18 @@ let int_range_extremes =
       Int_range.min_value r = List.hd members
       && Int_range.max_value r = List.nth members (List.length members - 1))
 
+let int_range_spread =
+  QCheck2.Test.make ~name:"Int_range.spread samples to_list evenly by rank"
+    ~count:500
+    QCheck2.Gen.(pair gen_int_range (int_range 2 10))
+    (fun (r, count) ->
+      let members = Array.of_list (Int_range.to_list r) in
+      let n = Array.length members in
+      Int_range.spread r ~count
+      =
+      if n <= count then Array.to_list members
+      else List.init count (fun i -> members.(i * (n - 1) / (count - 1))))
+
 (* ------------------------------------------------------------------ *)
 (* Reliability *)
 
@@ -397,6 +409,7 @@ let () =
           qtest int_range_to_seq;
           qtest int_range_between;
           qtest int_range_extremes;
+          qtest int_range_spread;
         ] );
       ( "reliability",
         [ qtest k_out_of_n_monotone_in_k; qtest series_bounded_by_weakest ] );

@@ -454,8 +454,8 @@ let test_concurrent_connections () =
 (* ------------------------------------------------------------------ *)
 (* The structured request log, against a dedicated constrained daemon *)
 
-(* A private daemon with --log, a one-slot queue and one dispatcher:
-   a slow cold design parks the dispatcher, so pipelined health
+(* A private daemon with --log, a one-slot queue and one search domain:
+   a slow cold design parks the domain, so pipelined health
    requests behind it overflow the queue deterministically and at
    least one is shed. Every request line — answered, shed, malformed —
    must then appear exactly once in the JSON log with monotone stage
@@ -470,8 +470,8 @@ let test_request_log () =
   let pid =
     Unix.create_process aved
       [|
-        aved; "serve"; "--socket"; socket; "--jobs"; "1"; "--dispatchers";
-        "1"; "--queue"; "1"; "--log"; log_path;
+        aved; "serve"; "--socket"; socket; "--jobs"; "1"; "--queue"; "1";
+        "--log"; log_path;
       |]
       Unix.stdin devnull devnull
   in
@@ -500,7 +500,7 @@ let test_request_log () =
   let oc = Unix.out_channel_of_descr fd in
   let healths = 8 in
   let requests = 1 + healths in
-  (* One write: the design reaches the lone dispatcher first, then the
+  (* One write: the design reaches the lone search domain first, then the
      healths behind it hit the one-slot queue while it is still busy. *)
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -847,9 +847,10 @@ let test_tracing_live () =
          has_prefix "markov." n || has_prefix "avail.engine." n)
     <> []);
   (* Worker domains adopt the request's context: with --jobs 2 the
-     search fans out to domains other than the dispatcher's, so spans
-     from a different tid must appear in the same trace. Pool pickup
-     is scheduling-dependent, so allow a few attempts. *)
+     search fans out to domains other than the one running the request
+     (which records the root span at finish), so spans from a different
+     tid must appear in the same trace. Pool pickup is
+     scheduling-dependent, so allow a few attempts. *)
   let root_tid =
     match List.find_opt (fun s -> span_int s "parent" = 0) spans with
     | Some root -> span_int root "tid"
@@ -1213,15 +1214,14 @@ let coalescing_stat field =
       | _ -> Alcotest.fail "stats lacks coalescing")
   | _ -> Alcotest.fail "stats result is not an object"
 
-(* Park both dispatchers on distinct blocker designs so a subsequent
-   herd's leader sits queued while its twins arrive and attach. An
-   e-commerce design takes about 2 ms, so it takes a queue of them to
-   keep the dispatchers busy while the herd is sent on a loaded host.
-   The blockers use the herd's specs: a request naming other spec files
-   would present the search cache with another infrastructure. *)
+(* Park both search domains on distinct blocker designs so a
+   subsequent herd's leader sits queued while its twins arrive and
+   attach. An e-commerce design takes about 2 ms, so it takes a queue
+   of them to keep the search domains busy while the herd is sent on a
+   loaded host. *)
 let blocker_count = 24
 
-let with_parked_dispatchers ~blocker_load f =
+let with_parked_search_domains ~blocker_load f =
   let blockers =
     Array.init blocker_count (fun j ->
         let c = connect_client () in
@@ -1253,7 +1253,7 @@ let test_coalescing_herd () =
   let herd = Array.init herd_size (fun _ -> connect_client ()) in
   Fun.protect ~finally:(fun () -> Array.iter close_client herd) @@ fun () ->
   let coalesced, results =
-    with_parked_dispatchers ~blocker_load:4200. @@ fun () ->
+    with_parked_search_domains ~blocker_load:4200. @@ fun () ->
     Array.iteri
       (fun k c ->
         send_only c
@@ -1300,7 +1300,7 @@ let test_error_broadcast () =
   let herd = Array.init herd_size (fun _ -> connect_client ()) in
   Fun.protect ~finally:(fun () -> Array.iter close_client herd) @@ fun () ->
   let errors =
-    with_parked_dispatchers ~blocker_load:4300. @@ fun () ->
+    with_parked_search_domains ~blocker_load:4300. @@ fun () ->
     Array.iteri
       (fun k c ->
         send_only c
@@ -1437,8 +1437,7 @@ let test_slow_reader_dropped () =
 (* SIGTERM mid-herd: requests already admitted — the queued leader and
    every attached waiter — are answered before exit. *)
 let test_drain_with_waiters () =
-  with_private_daemon [| "--jobs"; "1"; "--dispatchers"; "1" |]
-  @@ fun ~socket ~terminate ->
+  with_private_daemon [| "--jobs"; "1" |] @@ fun ~socket ~terminate ->
   let filler = private_conn socket in
   let herd = Array.init 6 (fun _ -> private_conn socket) in
   Fun.protect
@@ -1446,7 +1445,7 @@ let test_drain_with_waiters () =
       close_client filler;
       Array.iter close_client herd)
   @@ fun () ->
-  (* Five distinct designs pile onto the lone dispatcher first, so the
+  (* Five distinct designs pile onto the lone search domain first, so the
      herd's leader is still queued — waiters attached — when SIGTERM
      lands. *)
   for j = 0 to 4 do
@@ -1497,14 +1496,96 @@ let test_drain_with_waiters () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
 
 (* ------------------------------------------------------------------ *)
+(* Alternating spec pairs: each search domain's cache is its own *)
+
+(* One response line from [fd] within [seconds], or [None]. Each
+   connection here has one request in flight, so no bytes past the
+   newline are ever pending. *)
+let read_line_within fd ~seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let buf = Buffer.create 512 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match String.index_opt (Buffer.contents buf) '\n' with
+    | Some i -> Some (Buffer.sub buf 0 i)
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then None
+        else
+          match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> None
+          | _ -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> None
+              | n ->
+                  Buffer.add_subbytes buf chunk 0 n;
+                  go ())
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+  in
+  go ()
+
+(* Concurrent requests naming two spec pairs: each pair parses to its
+   own infrastructure value, so a search cache shared by two requests
+   would be reset under one of them by the other. Every round sends 4
+   distinct scientific job designs and 12 identical e-commerce designs
+   at once and must be answered in full; a daemon that stops answering
+   fails the round at its deadline instead of hanging the suite. *)
+let test_alternating_spec_pairs () =
+  with_private_daemon [| "--jobs"; "2" |] @@ fun ~socket ~terminate ->
+  let rounds = 40 and deadline_s = 20. in
+  let conns = Array.init 16 (fun _ -> private_conn socket) in
+  Fun.protect ~finally:(fun () -> Array.iter close_client conns) @@ fun () ->
+  for round = 1 to rounds do
+    Array.iteri
+      (fun k c ->
+        let id = Json.Int ((100 * round) + k) in
+        send_only c
+          (if k < 4 then
+             Protocol.request_line ~id Protocol.Design
+               [
+                 ("infra_file", Json.String (spec "infrastructure.spec"));
+                 ("service_file", Json.String (spec "scientific.spec"));
+                 ( "job_hours",
+                   Json.Float (60. +. float_of_int ((4 * round) + k)) );
+               ]
+           else
+             Protocol.request_line ~id Protocol.Design
+               (spec_params ()
+               @ [
+                   ("load", Json.Float (1000. +. (10. *. float_of_int round)));
+                   ("downtime_minutes", Json.Float 100.);
+                 ])))
+      conns;
+    Array.iteri
+      (fun k (fd, _, _) ->
+        match read_line_within fd ~seconds:deadline_s with
+        | None ->
+            Alcotest.failf "round %d: request %d unanswered after %.0f s"
+              round k deadline_s
+        | Some line -> (
+            let r = response line in
+            Alcotest.(check string) "own id echoed"
+              (string_of_int ((100 * round) + k))
+              (Json.to_string r.Protocol.response_id);
+            match r.Protocol.outcome with
+            | Ok _ -> ()
+            | Error (_, m) ->
+                Alcotest.failf "round %d: request %d failed: %s" round k m))
+      conns
+  done;
+  match terminate () with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly"
+
+(* ------------------------------------------------------------------ *)
 (* Trail isolation: explain runs beside in-flight searches *)
 
-(* The e-commerce serving shape (one-domain searches, two dispatchers):
-   [explain]s admitted while [design] blockers are in flight on other
-   connections run concurrently with them, and every answer stays
-   byte-equal to the one-shot CLI's — a provenance trail leaking
-   between requests would change an explain result. The explains differ
-   in [top] so none coalesces onto another. *)
+(* The e-commerce serving shape, with perfbench's flags (one search
+   domain; [--dispatchers] is accepted and ignored): [explain]s
+   admitted among [design]s on other connections stay byte-equal to
+   the one-shot CLI's — a provenance trail leaking between requests
+   would change an explain result. One search domain answers them in
+   turn, so nothing here runs concurrently. The explains differ in
+   [top] so none coalesces onto another. *)
 let test_explain_beside_designs () =
   with_private_daemon [| "--jobs"; "1"; "--dispatchers"; "2" |]
   @@ fun ~socket ~terminate ->
@@ -1669,6 +1750,8 @@ let () =
         [
           Alcotest.test_case "explain beside in-flight designs = CLI --json"
             `Quick test_explain_beside_designs;
+          Alcotest.test_case "alternating spec pairs are all answered" `Quick
+            test_alternating_spec_pairs;
         ] );
       ( "shutdown",
         [
