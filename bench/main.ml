@@ -21,9 +21,9 @@ let section title =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable search benchmark (dune exec bench/main.exe -- json)
 
-   One telemetry-instrumented run per figure kernel, written to
-   BENCH_search.json (schema_version 2) for CI artifact upload and
-   regression tracking. The first recorded run's per-figure wall times
+   One telemetry-instrumented run per figure kernel, and one of the
+   engine cross-check ("validate"), written to BENCH_search.json
+   (schema_version 3) for CI artifact upload and regression tracking. The first recorded run's per-figure wall times
    are carried forward verbatim as the "baseline" object on every
    subsequent run — a v1 file's "figures" array is adopted as the
    baseline — so the reported speedup is always against the pre-change
@@ -71,6 +71,47 @@ let read_baseline path =
                 figures_of (List.assoc_opt "figures" baseline_fields)
             | _ -> figures_of (List.assoc_opt "figures" fields))
         | _ -> None)
+
+(* The [aved validate] cross-check (Engines A, B and C) over the
+   application-tier frontier at load 1000: the bench that reaches the
+   CTMC solver and the simulator. Models whose chain exceeds the
+   2048-state cap of the direct solvers are left out: power iteration
+   takes 17 to 31 s on each of the twelve, against about 9 s for the
+   other 36 together. The frontier is searched before the clock starts;
+   the cross-check is sequential, so the one timed pass also gives
+   counters that do not depend on scheduling. *)
+let json_validate_benchmark ~jobs =
+  let frontier =
+    Search.Tier_search.frontier
+      (Search.Search_config.with_jobs jobs Search.Search_config.default)
+      (Aved.Experiments.infrastructure ())
+      ~tier:(Aved.Experiments.application_tier ())
+      ~demand:1000.
+    |> List.filter (fun (c : Search.Candidate.t) ->
+           Aved_avail.Exact.num_states c.model <= 2048)
+  in
+  let t = Telemetry.create () in
+  let words0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Telemetry.with_registry t (fun () ->
+      List.iter
+        (fun (c : Search.Candidate.t) -> ignore (Aved.Engine.cross_check c.model))
+        frontier);
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. words0 in
+  let counter = Telemetry.Counter.read_by_name t in
+  Printf.sprintf
+    "{\"models\": %d, \"wall_seconds\": %.6f, \"minor_words\": %.0f, \
+     \"sim_events\": %d, \"solver_fresh\": %d, \"solver_incremental\": %d, \
+     \"solver_fallback\": %d, \"solver_cached\": %d, \
+     \"exact_fresh\": %d, \"exact_incremental\": %d}"
+    (List.length frontier) wall words (counter "sim.events")
+    (counter "markov.solver.fresh")
+    (counter "markov.solver.incremental")
+    (counter "markov.solver.fallback")
+    (counter "markov.solver.cached")
+    (counter "avail.exact.solve.fresh")
+    (counter "avail.exact.solve.incremental")
 
 let json_search_benchmark () =
   let jobs = Domain.recommended_domain_count () in
@@ -126,7 +167,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 2,\n";
+  Buffer.add_string buf "  \"schema_version\": 3,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -176,7 +217,9 @@ let json_search_benchmark () =
            (counter "avail.exact.solve.incremental")
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  Buffer.add_string buf "  ]\n}\n";
+  Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"validate\": %s\n}\n" (json_validate_benchmark ~jobs));
   let oc = open_out path in
   Buffer.output_buffer oc buf;
   close_out oc;

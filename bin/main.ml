@@ -214,21 +214,13 @@ let validate_cmd =
         List.iter
           (fun (m : Aved_avail.Tier_model.t) ->
             let minutes f = Duration.minutes (Duration.of_years f) in
-            let analytic = Aved_avail.Analytic.downtime_fraction m in
-            let exact =
-              match Aved_avail.Exact.downtime_fraction ~max_states:50000 m with
-              | v -> Printf.sprintf "%12.3f" (minutes v)
-              | exception Invalid_argument _ -> "  (too large)"
+            let { Aved.Engine.analytic; exact; simulated } =
+              Aved.Engine.cross_check m
             in
-            let simulated =
-              Aved_avail.Monte_carlo.downtime_fraction
-                ~config:
-                  {
-                    Aved_avail.Monte_carlo.replications = 16;
-                    horizon = Duration.of_years 30.;
-                    seed = 42;
-                  }
-                m
+            let exact =
+              match exact with
+              | Some v -> Printf.sprintf "%12.3f" (minutes v)
+              | None -> "  (too large)"
             in
             Format.printf "%-14s %12.3f %s %12.3f@." m.tier_name
               (minutes analytic) exact (minutes simulated))

@@ -241,10 +241,14 @@ module Skeleton = struct
     option : Model.Service.resource_option;
     settings : (string * Model.Mechanism.setting) list;
     eff : (int, float) Hashtbl.t; (* n -> effective performance *)
-    n_min : (float, int option) Hashtbl.t; (* demand -> minimum actives *)
-    n_min_dynamic : (float, dynamic_min) Hashtbl.t;
-        (* demand -> progress of [instantiate]'s m-derivation, which
-           scans every count from 1 (not just the option's range). *)
+    (* The last demand each derivation below saw, with its answer. A
+       search keeps one demand throughout, so one slot keeps its hits,
+       and memory stays bounded however many demands a daemon serves;
+       both are pure, so a miss only recomputes. *)
+    mutable n_min : (float * int option) option; (* minimum actives *)
+    mutable n_min_dynamic : (float * dynamic_min) option;
+        (* progress of [instantiate]'s m-derivation, which scans every
+           count from 1 (not just the option's range). *)
     classes_spare : failure_class list;
     classes_nospare : failure_class list;
     loss_window : Duration.t option;
@@ -264,8 +268,8 @@ module Skeleton = struct
       option;
       settings;
       eff = Hashtbl.create 8;
-      n_min = Hashtbl.create 8;
-      n_min_dynamic = Hashtbl.create 8;
+      n_min = None;
+      n_min_dynamic = None;
       classes_spare =
         classes_of ~infra ~resource ~settings ~tier_name ~spare_active
           ~has_spares:true;
@@ -289,15 +293,15 @@ module Skeleton = struct
         v
 
   let minimum_actives skel ~demand =
-    match Hashtbl.find_opt skel.n_min demand with
-    | Some answer -> answer
-    | None ->
+    match skel.n_min with
+    | Some (memo, answer) when Float.equal memo demand -> answer
+    | Some _ | None ->
         let answer =
           Seq.find
             (fun n -> n > 0 && effective_performance skel ~n >= demand)
             (Model.Int_range.to_seq skel.option.n_active)
         in
-        Hashtbl.add skel.n_min demand answer;
+        skel.n_min <- Some (demand, answer);
         answer
 
   let tier_cost skel ~n_active ~n_spare =
@@ -329,12 +333,12 @@ module Skeleton = struct
               in
               let rec search k =
                 if k > n_active then begin
-                  Hashtbl.replace skel.n_min_dynamic demand
-                    (Exhausted_below n_active);
+                  skel.n_min_dynamic <-
+                    Some (demand, Exhausted_below n_active);
                   reject_at_bound ()
                 end
                 else if effective_performance skel ~n:k >= demand then begin
-                  Hashtbl.replace skel.n_min_dynamic demand (Found k);
+                  skel.n_min_dynamic <- Some (demand, Found k);
                   k
                 end
                 else search (k + 1)
@@ -347,13 +351,15 @@ module Skeleton = struct
                  re-evaluations are memoized pure lookups, so the
                  outcome — including the rejection message, which quotes
                  the current bound — is bitwise unchanged. *)
-              match Hashtbl.find_opt skel.n_min_dynamic demand with
-              | Some (Found k) when k <= n_active -> k
-              | Some (Found _) -> reject_at_bound ()
-              | Some (Exhausted_below bound) ->
-                  if n_active <= bound then reject_at_bound ()
-                  else search (bound + 1)
-              | None -> search 1))
+              match skel.n_min_dynamic with
+              | Some (memo, progress) when Float.equal memo demand -> (
+                  match progress with
+                  | Found k when k <= n_active -> k
+                  | Found _ -> reject_at_bound ()
+                  | Exhausted_below bound ->
+                      if n_active <= bound then reject_at_bound ()
+                      else search (bound + 1))
+              | Some _ | None -> search 1))
     in
     let effective_performance = effective_performance skel ~n:n_active in
     (match demand with

@@ -46,6 +46,26 @@ let evaluate_design infra service (d : Model.Design.t) ~demand =
           | Some option -> Aved_avail.Tier_model.build ~infra ~option ~design:td ~demand))
     d.tiers
 
+type cross_check = { analytic : float; exact : float option; simulated : float }
+
+let cross_check_simulation =
+  {
+    Aved_avail.Monte_carlo.replications = 16;
+    horizon = Duration.of_years 30.;
+    seed = 42;
+  }
+
+let cross_check m =
+  {
+    analytic = Aved_avail.Analytic.downtime_fraction m;
+    exact =
+      (match Aved_avail.Exact.downtime_fraction ~max_states:50000 m with
+      | v -> Some v
+      | exception Invalid_argument _ -> None);
+    simulated =
+      Aved_avail.Monte_carlo.downtime_fraction ~config:cross_check_simulation m;
+  }
+
 (* Assemble the decision-provenance explanation for a finished design
    run. Shared by [aved explain --json], the human explain report and
    the server's [explain] verb, so every front end attributes downtime

@@ -48,6 +48,15 @@ val evaluate_design :
     every tier's availability model. Raises [Invalid_argument] when the
     design references tiers or resources the service does not offer. *)
 
+type cross_check = { analytic : float; exact : float option; simulated : float }
+(** One tier model's downtime fraction from each availability engine. *)
+
+val cross_check : Aved_avail.Tier_model.t -> cross_check
+(** The three engines on one tier model, as [aved validate] runs them:
+    Engine A; Engine B with at most 50,000 states ([None] for a larger
+    chain); Engine C with 16 replications of 30 simulated years from
+    seed 42. *)
+
 val explain :
   ?top:int ->
   ?trail:Aved_search.Provenance.t ->

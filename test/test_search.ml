@@ -843,6 +843,56 @@ let test_eval_cache_spare_entries_keep_infra () =
     pairs
 
 (* ------------------------------------------------------------------ *)
+(* A long run of distinct demands leaves bounded memory *)
+
+(* The e-commerce design answer at load number [i] of a sequence of
+   distinct loads in [200, 4000]: [200 * 20^frac(i * phi)]. *)
+let design_at_distinct_load infra service i =
+  let phi = (sqrt 5. -. 1.) /. 2. in
+  let load = 200. *. Float.pow 20. (Float.rem (float_of_int i *. phi) 1.) in
+  let report =
+    Service_search.design config infra service
+      (Requirements.enterprise ~throughput:load
+         ~max_annual_downtime:(Duration.of_minutes 100.))
+  in
+  Aved_api.Api.design_result_of_report report
+  |> Aved_api.Api.design_result_to_json
+  |> Aved_api.Api.Json.to_string
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).live_words
+
+(* A daemon fed ever-new loads keeps a bounded heap: no cache may hold
+   an entry per demand served. One domain whose evaluation cache holds
+   one infrastructure throughout, as a daemon serving one spec does,
+   must hold about the same live heap after N and after 5N
+   distinct-load designs, and give the answers a cold cache gives. *)
+let test_distinct_demands_bounded_memory () =
+  let n = 60 in
+  let infra = infra () and service = Aved.Experiments.ecommerce () in
+  let design = design_at_distinct_load infra service in
+  Eval_cache.reset ();
+  for i = 0 to n - 1 do
+    ignore (design i)
+  done;
+  let after_n = live_words () in
+  let kept = ref [] in
+  for i = n to (5 * n) - 1 do
+    let answer = design i in
+    if i mod 37 = 0 then kept := (i, answer) :: !kept
+  done;
+  let after_5n = live_words () in
+  if float_of_int after_5n > (1.05 *. float_of_int after_n) +. 4096. then
+    Alcotest.failf "live words %d after %d designs, %d after %d" after_n n
+      after_5n (5 * n);
+  List.iter
+    (fun (i, answer) ->
+      Eval_cache.reset ();
+      Alcotest.(check string) (Printf.sprintf "design %d" i) (design i) answer)
+    !kept
+
+(* ------------------------------------------------------------------ *)
 (* Search cost does not grow with the width of the nActive range *)
 
 (* The e-commerce design at one requirement, as the wire API's JSON,
@@ -951,6 +1001,11 @@ let () =
             `Quick test_eval_cache_downtimes;
           Alcotest.test_case "spare modes keep the entry's infrastructure"
             `Quick test_eval_cache_spare_entries_keep_infra;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "distinct demands: bounded live heap" `Quick
+            test_distinct_demands_bounded_memory;
         ] );
       ( "range width",
         [
