@@ -196,19 +196,25 @@ let render buf t =
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export: rebase the spans onto the request's absolute clock
-   and reuse the registry's trace_event writer. Chrome nests by time
-   containment per tid, which matches the parent links here because a
-   child span always runs within its parent on the same domain. *)
+   and reuse the telemetry trace_event writer, the one [--trace FILE]
+   writes through. Chrome nests by time containment per tid, which
+   matches the parent links here because a child span always runs
+   within its parent on the same domain. *)
 
 let write_chrome t path =
   let spans =
     List.map
       (fun s ->
         {
-          Telemetry.span_name = s.name;
+          Telemetry.Trace.id = s.id;
+          parent = s.parent;
+          name = s.name;
           start_s = t.started_s +. (s.start_ms /. 1e3);
           dur_s = s.dur_ms /. 1e3;
           tid = s.tid;
+          cpu_s = s.cpu_ms /. 1e3;
+          minor_words = s.minor_words;
+          major_words = s.major_words;
         })
       t.spans
   in

@@ -24,7 +24,7 @@ let mc_seconds = Telemetry.Histogram.make "avail.engine.monte_carlo.seconds"
 let tier_downtime_fraction engine model =
   match engine with
   | Analytic ->
-      Telemetry.with_trace_span "avail.engine.analytic" @@ fun () ->
+      Telemetry.with_span "avail.engine.analytic" @@ fun () ->
       if Telemetry.enabled () then begin
         Telemetry.Counter.incr analytic_calls;
         Telemetry.Histogram.time analytic_seconds (fun () ->
@@ -32,7 +32,7 @@ let tier_downtime_fraction engine model =
       end
       else Analytic.downtime_fraction model
   | Exact { max_states } ->
-      Telemetry.with_trace_span "avail.engine.exact" @@ fun () ->
+      Telemetry.with_span "avail.engine.exact" @@ fun () ->
       if Telemetry.enabled () then begin
         Telemetry.Counter.incr exact_calls;
         Telemetry.Histogram.observe exact_states
@@ -42,7 +42,7 @@ let tier_downtime_fraction engine model =
       end
       else Exact.downtime_fraction ~max_states model
   | Monte_carlo config ->
-      Telemetry.with_trace_span "avail.engine.monte_carlo" @@ fun () ->
+      Telemetry.with_span "avail.engine.monte_carlo" @@ fun () ->
       if Telemetry.enabled () then begin
         Telemetry.Counter.incr mc_calls;
         Telemetry.Histogram.time mc_seconds (fun () ->

@@ -7,9 +7,9 @@ module Telemetry = Aved_telemetry.Telemetry
 
 (* Per-point spans are labelled by load/requirement so a Chrome trace
    shows which sweep points dominate; the label is only built when a
-   registry is recording. *)
+   trace is recording. *)
 let with_point_span fmt value body =
-  if Telemetry.enabled () then
+  if Telemetry.tracing () then
     Telemetry.with_span (Printf.sprintf fmt value) body
   else body ()
 

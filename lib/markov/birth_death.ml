@@ -31,7 +31,7 @@ let num_states t = Array.length t.up + 1
    maximum subtraction in log space to stay finite for stiff rates. *)
 let stationary t =
   Telemetry.Counter.incr bd_solves;
-  Telemetry.with_trace_span "markov.birth_death.solve" @@ fun () ->
+  Telemetry.with_span "markov.birth_death.solve" @@ fun () ->
   let n = Array.length t.up in
   let log_pi = Array.make (n + 1) Float.neg_infinity in
   log_pi.(0) <- 0.;

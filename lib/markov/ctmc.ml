@@ -347,7 +347,7 @@ let with_solve_telemetry ~backend ~n f =
     | Power -> (power_solves, None)
     | Lu -> (lu_solves, Some lu_seconds)
   in
-  Telemetry.with_trace_span ("markov.solve." ^ backend_name backend)
+  Telemetry.with_span ("markov.solve." ^ backend_name backend)
   @@ fun () ->
   if Telemetry.enabled () then begin
     Telemetry.Counter.incr counter;

@@ -4,7 +4,7 @@
     Renders every counter, gauge and histogram a
     {!Aved_telemetry.Telemetry.t} holds — plus caller-supplied extras
     for values that live outside the registry (SLO snapshots, GC
-    statistics, [spans_dropped]) — as the plain-text format Prometheus
+    statistics, trace-ring evictions) — as the plain-text format Prometheus
     and its ecosystem scrape. Metric names are sanitized
     ({!sanitize_name}): the repo's dotted names ([server.queue.depth])
     become underscore names ([server_queue_depth]).

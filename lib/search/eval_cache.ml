@@ -248,7 +248,7 @@ let downtime_fraction entry engine (m : Avail.Tier_model.t) =
           f
       | None ->
           let f =
-            Telemetry.with_trace_span "search.eval.downtime" (fun () ->
+            Telemetry.with_span "search.eval.downtime" (fun () ->
                 Avail.Evaluate.tier_downtime_fraction engine m)
           in
           if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;

@@ -480,7 +480,7 @@ let optimal ?pool config infra ~(tier : Model.Service.tier) ~job_size
           search_option ~pool ~shared config infra
             ~tier_name:tier.tier_name ~option ~job_size ~max_time ()
         in
-        if Telemetry.enabled () then
+        if Telemetry.tracing () then
           Telemetry.with_span ("search.option:" ^ option.resource) body
         else body ())
       tier.options

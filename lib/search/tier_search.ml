@@ -379,7 +379,7 @@ let optimal ?pool config infra ~(tier : Model.Service.tier) ~demand
           search_option ~pool ~shared config infra
             ~tier_name:tier.tier_name ~option ~demand ~max_downtime ()
         in
-        if Telemetry.enabled () then
+        if Telemetry.tracing () then
           Telemetry.with_span ("search.option:" ^ option.resource) body
         else body ())
       tier.options

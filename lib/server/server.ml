@@ -88,8 +88,7 @@ let slo_budget_remaining_gauge =
 let slo_met_gauge = Telemetry.Gauge.make "server.slo.met"
 let traces_sampled_counter = Telemetry.Counter.make "server.traces.sampled"
 
-(* Per-trace collector overflow, summed across requests at finish (the
-   registry's own buffer drops stay in [server.spans.dropped]). *)
+(* Per-trace collector overflow, summed across requests at finish. *)
 let trace_spans_dropped_counter =
   Telemetry.Counter.make "server.trace.spans.dropped"
 
@@ -139,13 +138,11 @@ type config = {
   max_conns : int;
   coalesce : bool;
   default_deadline_ms : float option;
-  span_capacity : int;
   send_timeout_s : float;
   log_path : string option;
   slo : Slo.config;
   trace_sample : float;
   trace_ring : int;
-  trace_spans : int;
 }
 
 (* [Unix.select] caps fds at FD_SETSIZE (1024 on Linux); the default
@@ -161,13 +158,11 @@ let default_config transport =
     max_conns = 900;
     coalesce = true;
     default_deadline_ms = None;
-    span_capacity = 4096;
     send_timeout_s = 10.;
     log_path = None;
     slo = Slo.default_config;
     trace_sample = 0.;
     trace_ring = 256;
-    trace_spans = Telemetry.Trace.default_capacity;
   }
 
 (* Stop reading a connection whose response backlog is above this:
@@ -579,27 +574,6 @@ let histogram_json (s : Telemetry.Histogram.summary) =
       ("p99", Json.Float (Telemetry.Histogram.quantile_est s 0.99));
     ]
 
-let span_totals spans =
-  let totals = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Telemetry.span) ->
-      if not (Hashtbl.mem totals s.span_name) then
-        order := s.span_name :: !order;
-      let calls, secs =
-        Option.value (Hashtbl.find_opt totals s.span_name) ~default:(0, 0.)
-      in
-      Hashtbl.replace totals s.span_name (calls + 1, secs +. s.dur_s))
-    spans;
-  List.rev_map
-    (fun name ->
-      let calls, secs = Hashtbl.find totals name in
-      ( name,
-        Json.Obj
-          [ ("calls", Json.Int calls); ("total_seconds", Json.Float secs) ] ))
-    !order
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 (* GC, runtime, occupancy and SLO gauges are sampled here — at scrape
    time — rather than on the request path, so their cost is paid by
    whoever asks ([metrics], [stats], SIGUSR1), never by a request. *)
@@ -665,10 +639,7 @@ let handle_metrics t ~version =
   let body =
     Prometheus.render ~exemplars:t.exemplars
       ~extra_counters:
-        [
-          ("server.spans.dropped", Telemetry.spans_dropped t.registry);
-          ("server.trace.ring.evictions", Trace_store.evictions t.traces);
-        ]
+        [ ("server.trace.ring.evictions", Trace_store.evictions t.traces) ]
       t.registry
   in
   Api.metrics_result_to_json ~version
@@ -742,8 +713,6 @@ let handle_stats t ~version =
           (List.map
              (fun (name, s) -> (name, histogram_json s))
              (Telemetry.histograms t.registry)) );
-      ("spans", Json.Obj (span_totals (Telemetry.spans t.registry)));
-      ("spans_dropped", Json.Int (Telemetry.spans_dropped t.registry));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -810,9 +779,8 @@ let handle_request t (job : job) =
         let verb_name = Protocol.verb_to_string request.Protocol.verb in
         (* Sampled requests: snapshot the attributed counters and
            install the trace context (parented under the handle-stage
-           span) for the handler — every [with_span]/[with_trace_span]
-           below this point, including on pool worker domains, lands in
-           the tree. *)
+           span) for the handler — every [with_span] below this point,
+           including on pool worker domains, lands in the tree. *)
         let trace_ctx = Lifecycle.handle_context lc in
         (match Lifecycle.trace lc with
         | Some trace ->
@@ -996,8 +964,7 @@ let start_lifecycle t ~verb ~conn_id ~req_id ~now =
   let trace =
     if Trace_id.sampled trace_id ~rate:t.config.trace_sample then begin
       Telemetry.Counter.incr traces_sampled_counter;
-      Some
-        (Telemetry.Trace.create ~capacity:t.config.trace_spans ~trace_id ())
+      Some (Telemetry.Trace.create ~trace_id ())
     end
     else None
   in
@@ -1225,12 +1192,11 @@ let create config =
     || config.trace_sample > 1.
   then failwith "trace_sample must be within [0, 1]";
   if config.trace_ring < 1 then failwith "trace_ring must be >= 1";
-  if config.trace_spans < 1 then failwith "trace_spans must be >= 1";
   (* SIGPIPE would kill the process on a write to a client that hung
      up; we detect that per-connection from the write error instead. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let registry = Telemetry.create ~span_capacity:config.span_capacity () in
+  let registry = Telemetry.create () in
   Telemetry.install registry;
   let search_config =
     Aved_search.Search_config.with_jobs config.jobs

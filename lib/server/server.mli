@@ -90,8 +90,6 @@ type config = {
           through its own search. *)
   default_deadline_ms : float option;
       (** Queueing budget applied when a request names none. *)
-  span_capacity : int;
-      (** Per-domain telemetry span retention ({!Aved_telemetry.Telemetry.create}). *)
   send_timeout_s : float;
       (** Write-stall bound: a connection whose response backlog makes
           no progress for this long is dropped
@@ -116,16 +114,16 @@ type config = {
   trace_ring : int;
       (** How many completed sampled traces the daemon retains for the
           [trace] verb; older ones are evicted
-          ([server.trace.ring.evictions]). *)
-  trace_spans : int;
-      (** Per-trace span bound; overflow is dropped subtree-first and
-          counted ([server.trace.spans.dropped]). *)
+          ([server.trace.ring.evictions]). Each trace keeps at most
+          {!Aved_telemetry.Telemetry.Trace.default_capacity} spans;
+          overflow is dropped subtree-first and counted
+          ([server.trace.spans.dropped]). *)
 }
 
 val default_config : transport -> config
 (** [jobs = Domain.recommended_domain_count ()], a 128-request queue,
-    900 connections, coalescing on, no default deadline, 4096 retained
-    spans per domain, a 10 s send timeout, no request log,
+    900 connections, coalescing on, no default deadline, a 10 s send
+    timeout, no request log,
     {!Aved_obs.Slo.default_config} (99.9% of work requests within 50 ms
     over a 5-minute window), tracing off ([trace_sample = 0.]) with a
     256-trace ring and 2048 spans per trace. *)

@@ -93,41 +93,19 @@ type shard = {
   hist_cells : hist_cell option array;
 }
 
-type span = { span_name : string; start_s : float; dur_s : float; tid : int }
-
-(* One buffer per (domain, registry); registered with the registry on
-   the domain's first span so the data survives the domain's exit. *)
-type span_buffer = {
-  buf_tid : int;
-  mutable buf_spans : span list;
-  mutable buf_len : int;
-}
-
 type t = {
-  id : int;
-  mutex : Mutex.t; (* guards shard creation and the buffer list *)
+  mutex : Mutex.t; (* guards shard creation *)
   shards : shard option array;
   gauge_cells : float array;
   gauge_set : bool array;
-  mutable buffers : span_buffer list;
-  span_capacity : int; (* per-buffer bound; max_int = unbounded *)
-  spans_dropped : int Atomic.t;
 }
 
-let next_registry_id = Atomic.make 0
-
-let create ?(span_capacity = max_int) () =
-  if span_capacity < 0 then
-    invalid_arg "Telemetry.create: span_capacity must be non-negative";
+let create ?span_capacity:_ () =
   {
-    id = Atomic.fetch_and_add next_registry_id 1;
     mutex = Mutex.create ();
     shards = Array.make num_shards None;
     gauge_cells = Array.make max_metrics 0.;
     gauge_set = Array.make max_metrics false;
-    buffers = [];
-    span_capacity;
-    spans_dropped = Atomic.make 0;
   }
 
 let current : t option Atomic.t = Atomic.make None
@@ -612,66 +590,12 @@ end
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
-let buffer_key : (int * span_buffer) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let tracing () = Trace.current () <> None
 
-let push_span t span =
-  let slot = Domain.DLS.get buffer_key in
-  let buffer =
-    match !slot with
-    | Some (registry_id, b) when registry_id = t.id -> b
-    | Some _ | None ->
-        let b =
-          { buf_tid = (Domain.self () :> int); buf_spans = []; buf_len = 0 }
-        in
-        Mutex.lock t.mutex;
-        t.buffers <- b :: t.buffers;
-        Mutex.unlock t.mutex;
-        slot := Some (t.id, b);
-        b
-  in
-  if buffer.buf_len >= t.span_capacity then
-    (* Long-lived processes (the serve daemon) bound span memory; the
-       counters and histograms keep aggregating past the cap. *)
-    Atomic.incr t.spans_dropped
-  else begin
-    buffer.buf_spans <- span :: buffer.buf_spans;
-    buffer.buf_len <- buffer.buf_len + 1
-  end
-
-(* Trace-only span: records into the ambient request trace (when one
-   is sampled) but never into the registry's per-domain buffers. For
-   hot instrumentation points — solver backends, cache misses — that
-   would flood [--trace] files and span buffers if recorded always. *)
-let with_trace_span name f =
+let with_span name f =
   match Trace.current () with
   | None -> f ()
   | Some c -> Trace.within c name f
-
-let with_span name f =
-  match Atomic.get current with
-  | None -> with_trace_span name f
-  | Some t ->
-      let t0 = now_seconds () in
-      Fun.protect
-        ~finally:(fun () ->
-          push_span t
-            {
-              span_name = name;
-              start_s = t0;
-              dur_s = now_seconds () -. t0;
-              tid = (Domain.self () :> int);
-            })
-        (fun () -> with_trace_span name f)
-
-let spans t =
-  Mutex.lock t.mutex;
-  let buffers = t.buffers in
-  Mutex.unlock t.mutex;
-  List.concat_map (fun b -> List.rev b.buf_spans) buffers
-  |> List.sort (fun a b -> Float.compare a.start_s b.start_s)
-
-let spans_dropped t = Atomic.get t.spans_dropped
 
 (* ------------------------------------------------------------------ *)
 (* Readouts *)
@@ -719,7 +643,6 @@ let pp_histogram_value ~name ppf v =
 
 let pp_summary ppf t =
   let cs = counters t and gs = gauges t and hs = histograms t in
-  let ss = spans t in
   Format.fprintf ppf "@[<v>telemetry summary@,";
   if cs <> [] then begin
     Format.fprintf ppf "@,counters:@,";
@@ -746,26 +669,25 @@ let pp_summary ppf t =
           (Histogram.quantile s 0.99))
       hs
   end;
-  if ss <> [] then begin
-    (* Totals per span name: calls and cumulative time. *)
-    let totals = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let calls, secs =
-          Option.value
-            (Hashtbl.find_opt totals s.span_name)
-            ~default:(0, 0.)
-        in
-        Hashtbl.replace totals s.span_name (calls + 1, secs +. s.dur_s))
-      ss;
-    Format.fprintf ppf "@,spans:%43s@," "calls total";
-    List.iter
-      (fun (name, (calls, secs)) ->
-        Format.fprintf ppf "  %-30s %8d %a@," name calls pp_scaled secs)
-      (List.sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []))
-  end;
+  Format.fprintf ppf "@]"
+
+(* Totals per span name: calls and cumulative time, sorted by name. *)
+let pp_span_totals ppf (spans : Trace.span list) =
+  let totals = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Trace.span) ->
+      let calls, secs =
+        Option.value (Hashtbl.find_opt totals s.name) ~default:(0, 0.)
+      in
+      Hashtbl.replace totals s.name (calls + 1, secs +. s.dur_s))
+    spans;
+  Format.fprintf ppf "@[<v>spans:%43s" "calls total";
+  List.iter
+    (fun (name, (calls, secs)) ->
+      Format.fprintf ppf "@,  %-30s %8d %a" name calls pp_scaled secs)
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []));
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
@@ -785,19 +707,17 @@ let json_escape name =
     name;
   Buffer.contents b
 
-let write_chrome_spans all oc =
+let write_chrome_spans (all : Trace.span list) oc =
   let base = match all with [] -> 0. | s :: _ -> s.start_s in
   output_string oc "{\"traceEvents\":[";
   List.iteri
-    (fun i s ->
+    (fun i (s : Trace.span) ->
       if i > 0 then output_string oc ",";
       Printf.fprintf oc
         "\n\
          {\"name\":\"%s\",\"cat\":\"aved\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
-        (json_escape s.span_name)
+        (json_escape s.name)
         ((s.start_s -. base) *. 1e6)
         (s.dur_s *. 1e6) s.tid)
     all;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let write_chrome_trace t oc = write_chrome_spans (spans t) oc

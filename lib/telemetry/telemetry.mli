@@ -16,16 +16,12 @@
     engines, it does not steer them. *)
 
 type t
-(** A metric registry: sharded counter/histogram cells, gauge cells and
-    per-domain span buffers. *)
+(** A metric registry: sharded counter/histogram cells and gauge
+    cells. Spans are not kept here; they land in a {!Trace} collector. *)
 
 val create : ?span_capacity:int -> unit -> t
-(** [span_capacity] bounds the number of spans each domain's buffer
-    retains (default: unbounded). Long-lived processes — the [aved
-    serve] daemon keeps a registry installed for its whole lifetime —
-    pass a cap so span memory stays bounded; spans past the cap are
-    counted in {!spans_dropped} instead of retained, while counters and
-    histograms keep aggregating. *)
+(** A fresh, empty registry. [span_capacity] is ignored: the registry
+    holds no spans. It remains only for callers that still pass it. *)
 
 val install : t -> unit
 (** Make [t] the ambient registry recorded into by every metric
@@ -165,13 +161,14 @@ end
     attribution, threaded through the engines by a {e trace context}
     bound in the request {!Context}.
 
-    A collector ({!Trace.t}) belongs to one sampled request. A
+    A collector ({!Trace.t}) belongs to one sampled daemon request, or
+    to one CLI command run with [--stats] or [--trace FILE]. A
     {!Trace.context} names a collector plus the span id new child spans
     attach under; it is one key of the per-thread {!Context}, so it
-    follows the request onto pool worker domains.
-    {!with_span} and {!with_trace_span} consult it: inside one, they
-    allocate a child span, re-bind the context with themselves as
-    parent, and on exit record wall duration plus resource deltas —
+    follows the request onto pool worker domains. {!with_span}
+    consults it: inside one, it allocates a child span, re-binds the
+    context with itself as parent, and on exit records wall duration
+    plus resource deltas —
     process CPU seconds ([Sys.time]) and the executing domain's
     minor/major allocated words ([Gc.counters]).
 
@@ -249,32 +246,15 @@ module Trace : sig
   val baseline : t -> (string * int) list
 end
 
-type span = {
-  span_name : string;
-  start_s : float;  (** wall-clock seconds at entry *)
-  dur_s : float;  (** duration in seconds *)
-  tid : int;  (** id of the domain that ran the span *)
-}
-
 val with_span : string -> (unit -> 'a) -> 'a
-(** Run the thunk and record a completed span (also on exception).
-    Nesting is positional: spans of one domain nest by time
-    containment, which is how Chrome's tracing UI renders them.
-    Additionally, when the calling thread has a bound
-    {!Trace.context}, a child span with explicit parent links and
-    resource deltas is recorded into that trace. *)
+(** Run the thunk as a child span of the calling thread's bound
+    {!Trace.context}, recorded also when the thunk raises. With no
+    context bound it is a plain call. *)
 
-val with_trace_span : string -> (unit -> 'a) -> 'a
-(** Like {!with_span} but records {e only} into the calling thread's
-    {!Trace.context} (nothing when none is installed). For hot
-    instrumentation points — solver backends, cache misses — that
-    would flood the positional buffers if recorded unconditionally. *)
-
-val spans : t -> span list
-(** All recorded spans, sorted by start time. *)
-
-val spans_dropped : t -> int
-(** Spans discarded because a buffer hit [span_capacity]. *)
+val tracing : unit -> bool
+(** Whether the calling thread has a bound {!Trace.context}, i.e.
+    whether {!with_span} records. Use to skip building span names
+    that nothing would record. *)
 
 val counters : t -> (string * int) list
 (** All interned counters with nonzero aggregate value, sorted by
@@ -286,14 +266,14 @@ val histograms : t -> (string * Histogram.summary) list
 (** All interned histograms with at least one observation. *)
 
 val pp_summary : Format.formatter -> t -> unit
-(** Human-readable summary table: counters, gauges, histograms
-    (count/mean/min/max/p50/p99) and span totals by name. *)
+(** Human-readable summary table: counters, gauges and histograms
+    (count/mean/min/max/p50/p99). *)
 
-val write_chrome_trace : t -> out_channel -> unit
-(** Emit the recorded spans as Chrome [trace_event] JSON (one complete
-    ["ph":"X"] event per span), loadable by [chrome://tracing] and
-    [ui.perfetto.dev]. *)
+val pp_span_totals : Format.formatter -> Trace.span list -> unit
+(** Calls and cumulative wall time per span name, sorted by name. *)
 
-val write_chrome_spans : span list -> out_channel -> unit
-(** The same trace_event writer over an explicit span list — what
-    [aved trace --chrome] feeds a fetched request trace through. *)
+val write_chrome_spans : Trace.span list -> out_channel -> unit
+(** Emit the spans as Chrome [trace_event] JSON (one complete
+    ["ph":"X"] event per span, times relative to the first span),
+    loadable by [chrome://tracing] and [ui.perfetto.dev]. Both
+    [--trace FILE] and [aved trace --chrome] write through it. *)

@@ -132,19 +132,115 @@ let test_stats_and_trace () =
     (contains stderr "search.eval.downtime.reused");
   Alcotest.(check bool) "engine histogram present" true
     (contains stderr "avail.engine.analytic.seconds");
+  Alcotest.(check bool) "solver span totals present" true
+    (contains stderr "markov.birth_death.solve");
   Alcotest.(check bool) "trace is chrome json" true
     (contains trace_content "\"traceEvents\"")
 
+(* Neither telemetry flag, alone or together, at one domain or four,
+   changes a byte of stdout. *)
 let test_stats_does_not_change_stdout () =
   let args =
-    Printf.sprintf "design -i %s -s %s --load 400 --downtime 100 --jobs 1"
+    Printf.sprintf "design -i %s -s %s --load 400 --downtime 100"
       (spec "infrastructure.spec") (spec "ecommerce.spec")
   in
-  let s0, plain, _ = run_aved args in
-  let s1, with_stats, _ = run_aved (args ^ " --stats") in
+  let s0, plain, _ = run_aved (args ^ " --jobs 1") in
   Alcotest.(check int) "plain exit" 0 s0;
-  Alcotest.(check int) "stats exit" 0 s1;
-  Alcotest.(check string) "stdout byte-identical" plain with_stats
+  let trace = Filename.temp_file "aved_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun flags ->
+          let label = Printf.sprintf "--jobs %d%s" jobs flags in
+          let status, stdout, _ =
+            run_aved (Printf.sprintf "%s --jobs %d%s" args jobs flags)
+          in
+          Alcotest.(check int) (label ^ " exit") 0 status;
+          Alcotest.(check string) (label ^ " stdout byte-identical") plain
+            stdout)
+        [
+          " --stats";
+          " --trace " ^ Filename.quote trace;
+          " --stats --trace " ^ Filename.quote trace;
+        ])
+    [ 1; 4 ]
+
+(* Span names of a Chrome trace-event file, one per event. *)
+let trace_event_names path =
+  let module Json = Aved_explain.Json in
+  let field name = function
+    | Json.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  let doc = Aved_api.Json_parse.of_string_exn (read_file path) in
+  match field "traceEvents" doc with
+  | Some (Json.List events) ->
+      List.map
+        (fun event ->
+          match field "name" event with
+          | Some (Json.String name) -> name
+          | _ -> Alcotest.fail "trace event without a name")
+        events
+  | _ -> Alcotest.fail "no traceEvents list"
+
+let has_prefix prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* The value of a counter row ("  name   value") of the --stats table. *)
+let stats_counter stderr name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' stderr)
+
+(* A design's trace reaches below the search: the evaluation, engine
+   and solver spans recorded on every pool domain are in the file. *)
+let test_design_trace_reaches_engines () =
+  let trace = Filename.temp_file "aved_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let status, _, _ =
+    run_aved
+      (Printf.sprintf
+         "design -i %s -s %s --load 400 --downtime 100 --jobs 2 --trace %s"
+         (spec "infrastructure.spec") (spec "ecommerce.spec")
+         (Filename.quote trace))
+  in
+  Alcotest.(check int) "exit status" 0 status;
+  let names = trace_event_names trace in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("has " ^ name) true (List.mem name names))
+    [
+      "search.tier.optimal";
+      "search.eval.downtime";
+      "avail.engine.analytic";
+      "markov.birth_death.solve";
+    ]
+
+(* fig6 --trace keeps every sweep point and every fresh evaluation:
+   nothing is dropped, however many spans the run records. *)
+let test_fig6_trace_keeps_every_span () =
+  let trace = Filename.temp_file "aved_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let status, _, stderr =
+    run_aved
+      (Printf.sprintf "fig6 --jobs 2 --stats --trace %s" (Filename.quote trace))
+  in
+  Alcotest.(check int) "exit status" 0 status;
+  let names = trace_event_names trace in
+  let loads = List.filter (has_prefix "fig6.load:") names in
+  Alcotest.(check int) "24 fig6.load spans" 24 (List.length loads);
+  Alcotest.(check int) "24 distinct loads" 24
+    (List.length (List.sort_uniq String.compare loads));
+  Alcotest.(check (option int))
+    "one search.eval.downtime span per fresh evaluation"
+    (stats_counter stderr "search.eval.downtime.fresh")
+    (Some
+       (List.length (List.filter (String.equal "search.eval.downtime") names)))
 
 let test_explain_json () =
   let status, stdout, _ =
@@ -229,6 +325,10 @@ let () =
             test_stats_and_trace;
           Alcotest.test_case "--stats leaves stdout unchanged" `Quick
             test_stats_does_not_change_stdout;
+          Alcotest.test_case "design trace reaches the engines" `Quick
+            test_design_trace_reaches_engines;
+          Alcotest.test_case "fig6 --trace keeps every span" `Quick
+            test_fig6_trace_keeps_every_span;
         ] );
       ( "explain",
         [

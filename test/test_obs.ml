@@ -373,9 +373,9 @@ let test_trace_tree () =
   let tr = Trace.create ~trace_id:"cafe" () in
   let root = Trace.alloc_span_id tr in
   Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
-      Telemetry.with_trace_span "outer" (fun () ->
-          Telemetry.with_trace_span "inner" (fun () -> ());
-          Telemetry.with_trace_span "inner2" (fun () -> ())));
+      Telemetry.with_span "outer" (fun () ->
+          Telemetry.with_span "inner" (fun () -> ());
+          Telemetry.with_span "inner2" (fun () -> ())));
   Alcotest.(check (option bool))
     "context restored" None
     (Option.map (fun _ -> true) (Trace.current ()));
@@ -410,8 +410,8 @@ let test_trace_capacity_drops_subtrees () =
   let root = Trace.alloc_span_id tr in
   Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
       for i = 1 to 10 do
-        Telemetry.with_trace_span (Printf.sprintf "outer%d" i) (fun () ->
-            Telemetry.with_trace_span "leaf" (fun () -> ()))
+        Telemetry.with_span (Printf.sprintf "outer%d" i) (fun () ->
+            Telemetry.with_span "leaf" (fun () -> ()))
       done);
   (* The daemon's lifecycle records the root span at finish. *)
   Trace.record tr ~id:root ~parent:0 ~name:"request" ~start_s:0. ~dur_s:1.
@@ -436,8 +436,8 @@ let test_trace_capacity_drops_subtrees () =
 let test_trace_record_bypasses_capacity () =
   let tr = Trace.create ~capacity:1 ~trace_id:"beef" () in
   Trace.with_context (Some (Trace.context tr ~parent:0)) (fun () ->
-      Telemetry.with_trace_span "a" (fun () -> ());
-      Telemetry.with_trace_span "b" (fun () -> ()));
+      Telemetry.with_span "a" (fun () -> ());
+      Telemetry.with_span "b" (fun () -> ()));
   let root = Trace.alloc_span_id tr in
   Trace.record tr ~id:root ~parent:0 ~name:"request" ~start_s:0. ~dur_s:1.
     ~tid:0;
@@ -609,10 +609,10 @@ let test_trace_pool_propagation () =
   let tags =
     Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
         Telemetry.Context.with_value tag (Some "request-7") (fun () ->
-            Telemetry.with_trace_span "fanout" (fun () ->
+            Telemetry.with_span "fanout" (fun () ->
                 Aved_parallel.Pool.map pool
                   (fun i ->
-                    Telemetry.with_trace_span (Printf.sprintf "task%d" i)
+                    Telemetry.with_span (Printf.sprintf "task%d" i)
                       (fun () -> Telemetry.Context.get tag))
                   [ 1; 2; 3; 4 ])))
   in

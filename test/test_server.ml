@@ -253,8 +253,17 @@ let test_stats_shape () =
             (List.mem_assoc key fields))
         [
           "uptime_seconds"; "queue"; "connections"; "coalescing"; "slo";
-          "spec_cache"; "counters"; "gauges"; "histograms"; "spans_dropped";
+          "spec_cache"; "counters"; "gauges"; "histograms";
         ];
+      (* Spans live in per-request trace collectors (the trace verb),
+         not in the registry the stats verb reports. *)
+      List.iter
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "stats has no %S" key)
+            false
+            (List.mem_assoc key fields))
+        [ "spans"; "spans_dropped" ];
       (* The coalescing object reports the in-flight registry... *)
       (match List.assoc_opt "coalescing" fields with
       | Some (Json.Obj c) ->
@@ -322,8 +331,7 @@ let test_metrics_exposition () =
           "server_slo_target"; "server_slo_success_rate";
           "server_slo_burn_rate"; "server_slo_error_budget_remaining";
           "server_queue_depth"; "server_connections_live";
-          "server_requests_health"; "server_spans_dropped";
-          "server_gc_heap_words";
+          "server_requests_health"; "server_gc_heap_words";
         ];
       (* Request histograms render as native histogram families. *)
       Alcotest.(check bool) "request histogram" true

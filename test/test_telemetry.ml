@@ -1,6 +1,7 @@
-(* Tests for the telemetry registry: sharded counter/histogram merge
-   across domains, span nesting, disabled-registry no-ops, and the
-   Chrome trace export. *)
+(* Tests for the telemetry registry and span collectors: sharded
+   counter/histogram merge across domains, span parent links (also
+   across pool domains), disabled-registry no-ops, and the Chrome trace
+   export. *)
 
 module Telemetry = Aved_telemetry.Telemetry
 
@@ -186,50 +187,111 @@ let test_histogram_merge_across_domains () =
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
+module Trace = Telemetry.Trace
+
+(* A fresh collector bound as the calling thread's root trace context,
+   as [--stats] and [--trace FILE] bind one around a CLI command. *)
+let with_collector f =
+  let tr = Trace.create ~trace_id:"test" () in
+  Trace.with_context (Some (Trace.context tr ~parent:0)) (fun () -> f tr)
+
+let find_span spans name =
+  match List.find_opt (fun s -> s.Trace.name = name) spans with
+  | Some s -> s
+  | None -> Alcotest.failf "span %s not recorded" name
+
+let check_within ~parent child =
+  Alcotest.(check bool) "child starts after parent" true
+    (child.Trace.start_s >= parent.Trace.start_s);
+  Alcotest.(check bool) "child ends before parent" true
+    (child.Trace.start_s +. child.Trace.dur_s
+    <= parent.Trace.start_s +. parent.Trace.dur_s +. 1e-9)
+
 let test_span_nesting () =
-  with_fresh_registry @@ fun t ->
-  let result =
-    Telemetry.with_span "outer" (fun () ->
-        Telemetry.with_span "inner" (fun () -> 17))
+  with_fresh_registry @@ fun _ ->
+  (* A registry alone records no span: [with_span] is a plain call. *)
+  Alcotest.(check bool) "no trace bound" false (Telemetry.tracing ());
+  Alcotest.(check int) "untraced value passes through" 3
+    (Telemetry.with_span "untraced" (fun () -> 3));
+  let tr, result =
+    with_collector (fun tr ->
+        Alcotest.(check bool) "trace bound" true (Telemetry.tracing ());
+        ( tr,
+          Telemetry.with_span "outer" (fun () ->
+              Telemetry.with_span "inner" (fun () -> 17)) ))
   in
   Alcotest.(check int) "value passes through" 17 result;
-  let spans = Telemetry.spans t in
-  let find name =
-    match
-      List.find_opt (fun s -> s.Telemetry.span_name = name) spans
-    with
-    | Some s -> s
-    | None -> Alcotest.failf "span %s not recorded" name
+  let spans = Trace.spans tr in
+  Alcotest.(check int) "two spans" 2 (List.length spans);
+  let outer = find_span spans "outer" and inner = find_span spans "inner" in
+  Alcotest.(check int) "outer is a root" 0 outer.Trace.parent;
+  Alcotest.(check int) "inner under outer" outer.Trace.id inner.Trace.parent;
+  Alcotest.(check int) "same domain" outer.Trace.tid inner.Trace.tid;
+  check_within ~parent:outer inner
+
+(* Pool tasks adopt the caller's trace context, so spans on worker
+   domains link to the span that fanned them out. *)
+let test_span_nesting_across_pool () =
+  Aved_parallel.Pool.run ~jobs:4 @@ fun pool ->
+  let tr =
+    with_collector (fun tr ->
+        Telemetry.with_span "fanout" (fun () ->
+            ignore
+              (Aved_parallel.Pool.map pool
+                 (fun i ->
+                   Telemetry.with_span "task" (fun () ->
+                       Telemetry.with_span "leaf" (fun () -> i)))
+                 (List.init 8 Fun.id)));
+        tr)
   in
-  let outer = find "outer" and inner = find "inner" in
-  Alcotest.(check int) "same domain" outer.Telemetry.tid
-    inner.Telemetry.tid;
-  (* The inner interval lies within the outer one. *)
-  Alcotest.(check bool) "inner starts after outer" true
-    (inner.Telemetry.start_s >= outer.Telemetry.start_s);
-  Alcotest.(check bool) "inner ends before outer" true
-    (inner.Telemetry.start_s +. inner.Telemetry.dur_s
-    <= outer.Telemetry.start_s +. outer.Telemetry.dur_s +. 1e-9)
+  let spans = Trace.spans tr in
+  let named name = List.filter (fun s -> s.Trace.name = name) spans in
+  let fanout = find_span spans "fanout" in
+  let tasks = named "task" and leaves = named "leaf" in
+  Alcotest.(check int) "every task traced" 8 (List.length tasks);
+  Alcotest.(check int) "every leaf traced" 8 (List.length leaves);
+  List.iter
+    (fun task ->
+      Alcotest.(check int) "task under fanout" fanout.Trace.id
+        task.Trace.parent;
+      check_within ~parent:fanout task)
+    tasks;
+  List.iter
+    (fun leaf ->
+      match List.find_opt (fun t -> t.Trace.id = leaf.Trace.parent) tasks with
+      | None -> Alcotest.fail "leaf not under a task"
+      | Some task ->
+          Alcotest.(check int) "leaf on its task's domain" task.Trace.tid
+            leaf.Trace.tid;
+          check_within ~parent:task leaf)
+    leaves;
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tr)
 
 let test_span_survives_exception () =
-  with_fresh_registry @@ fun t ->
-  (match Telemetry.with_span "failing" (fun () -> failwith "boom") with
+  let tr = Trace.create ~trace_id:"test" () in
+  (match
+     Trace.with_context
+       (Some (Trace.context tr ~parent:0))
+       (fun () -> Telemetry.with_span "failing" (fun () -> failwith "boom"))
+   with
   | _ -> Alcotest.fail "expected the exception to propagate"
   | exception Failure _ -> ());
   Alcotest.(check bool) "span recorded despite the raise" true
-    (List.exists
-       (fun s -> s.Telemetry.span_name = "failing")
-       (Telemetry.spans t))
+    (List.exists (fun s -> s.Trace.name = "failing") (Trace.spans tr));
+  Alcotest.(check bool) "context restored" false (Telemetry.tracing ())
 
 let test_chrome_trace_export () =
-  with_fresh_registry @@ fun t ->
-  Telemetry.with_span "export \"quoted\"" (fun () -> ());
+  let tr =
+    with_collector (fun tr ->
+        Telemetry.with_span "export \"quoted\"" (fun () -> ());
+        tr)
+  in
   let path = Filename.temp_file "aved_trace" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      Telemetry.write_chrome_trace t oc;
+      Telemetry.write_chrome_spans (Trace.spans tr) oc;
       close_out oc;
       let ic = open_in path in
       let len = in_channel_length ic in
@@ -279,6 +341,8 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
+          Alcotest.test_case "nesting across Pool.map" `Quick
+            test_span_nesting_across_pool;
           Alcotest.test_case "survives exceptions" `Quick
             test_span_survives_exception;
           Alcotest.test_case "chrome trace export" `Quick
