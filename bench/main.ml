@@ -23,7 +23,7 @@ let section title =
 
    One telemetry-instrumented run per figure kernel, and one of the
    engine cross-check ("validate"), written to BENCH_search.json
-   (schema_version 3) for CI artifact upload and regression tracking. The first recorded run's per-figure wall times
+   (schema_version 4) for CI artifact upload and regression tracking. The first recorded run's per-figure wall times
    are carried forward verbatim as the "baseline" object on every
    subsequent run — a v1 file's "figures" array is adopted as the
    baseline — so the reported speedup is always against the pre-change
@@ -72,14 +72,13 @@ let read_baseline path =
             | _ -> figures_of (List.assoc_opt "figures" fields))
         | _ -> None)
 
-(* The [aved validate] cross-check (Engines A, B and C) over the
-   application-tier frontier at load 1000: the bench that reaches the
-   CTMC solver and the simulator. Models whose chain exceeds the
-   2048-state cap of the direct solvers are left out: power iteration
-   takes 17 to 31 s on each of the twelve, against about 9 s for the
-   other 36 together. The frontier is searched before the clock starts;
-   the cross-check is sequential, so the one timed pass also gives
-   counters that do not depend on scheduling. *)
+(* The [aved validate] cross-check (Engines A, B and C) over all 48
+   models of the application-tier frontier at load 1000: the bench that
+   reaches Engine B's closed form and the simulator. The frontier is
+   searched before the clock starts; the cross-check is sequential, so
+   the one timed pass also gives counters that do not depend on
+   scheduling. Engine B solves no chain, so [solver_fallback] reads 0
+   unless something in the cross-check reaches a chain solve again. *)
 let json_validate_benchmark ~jobs =
   let frontier =
     Search.Tier_search.frontier
@@ -87,8 +86,6 @@ let json_validate_benchmark ~jobs =
       (Aved.Experiments.infrastructure ())
       ~tier:(Aved.Experiments.application_tier ())
       ~demand:1000.
-    |> List.filter (fun (c : Search.Candidate.t) ->
-           Aved_avail.Exact.num_states c.model <= 2048)
   in
   let t = Telemetry.create () in
   let words0 = Gc.minor_words () in
@@ -102,16 +99,9 @@ let json_validate_benchmark ~jobs =
   let counter = Telemetry.Counter.read_by_name t in
   Printf.sprintf
     "{\"models\": %d, \"wall_seconds\": %.6f, \"minor_words\": %.0f, \
-     \"sim_events\": %d, \"solver_fresh\": %d, \"solver_incremental\": %d, \
-     \"solver_fallback\": %d, \"solver_cached\": %d, \
-     \"exact_fresh\": %d, \"exact_incremental\": %d}"
+     \"sim_events\": %d, \"solver_fallback\": %d}"
     (List.length frontier) wall words (counter "sim.events")
-    (counter "markov.solver.fresh")
-    (counter "markov.solver.incremental")
     (counter "markov.solver.fallback")
-    (counter "markov.solver.cached")
-    (counter "avail.exact.solve.fresh")
-    (counter "avail.exact.solve.incremental")
 
 let json_search_benchmark () =
   let jobs = Domain.recommended_domain_count () in
@@ -167,7 +157,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 3,\n";
+  Buffer.add_string buf "  \"schema_version\": 4,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -202,19 +192,12 @@ let json_search_benchmark () =
             \"minor_words\": %.0f, \"candidates_generated\": %d, \"candidates_evaluated\": %d, \
             \"candidates_pruned\": %d, \"candidates_per_second\": %.1f, \
             \"downtime_fresh\": %d, \"downtime_reused\": %d, \
-            \"solver_fresh\": %d, \"solver_incremental\": %d, \
-            \"solver_fallback\": %d, \"solver_cached\": %d, \
-            \"exact_fresh\": %d, \"exact_incremental\": %d}%s\n"
+            \"solver_fallback\": %d}%s\n"
            name wall words generated evaluated pruned
            (float_of_int evaluated /. Float.max 1e-9 wall)
            (counter "search.eval.downtime.fresh")
            (counter "search.eval.downtime.reused")
-           (counter "markov.solver.fresh")
-           (counter "markov.solver.incremental")
            (counter "markov.solver.fallback")
-           (counter "markov.solver.cached")
-           (counter "avail.exact.solve.fresh")
-           (counter "avail.exact.solve.incremental")
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";

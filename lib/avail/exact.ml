@@ -2,7 +2,6 @@ module Duration = Aved_units.Duration
 module Availability = Aved_reliability.Availability
 module Ctmc = Aved_markov.Ctmc
 module Service = Aved_model.Service
-module Telemetry = Aved_telemetry.Telemetry
 
 (* Classes that occupy the chain: repairs take positive time. Classes
    with zero MTTR repair instantaneously and only contribute transient
@@ -56,25 +55,18 @@ let interrupts (model : Tier_model.t) ~actives =
   | Service.Tier_scope -> true
   | Service.Resource_scope -> actives = model.n_min
 
-(* Shared state-space construction and stationary solve of the
-   multi-mode chain, used by both {!downtime_fraction} and
-   {!downtime_by_class}. *)
-type solution = {
-  states : int array array;
-  classes : Tier_model.failure_class array;  (* chain classes, model order *)
-  pi : float array;
-  n_total : int;
-}
-
-let build_chain ~max_states (model : Tier_model.t) =
-  let n_total = model.n_active + model.n_spare in
-  let classes = Array.of_list (chain_classes model) in
-  let j = Array.length classes in
+let check_size ~max_states model =
   let size = num_states model in
   if size > max_states then
     invalid_arg
       (Printf.sprintf "Exact.downtime_fraction: %d states exceed limit %d"
-         size max_states);
+         size max_states)
+
+let chain ?(max_states = 20000) (model : Tier_model.t) =
+  check_size ~max_states model;
+  let n_total = model.n_active + model.n_spare in
+  let classes = Array.of_list (chain_classes model) in
+  let j = Array.length classes in
   let states = Array.of_list (enumerate_states ~j ~total:n_total) in
   let index = Hashtbl.create (Array.length states) in
   Array.iteri
@@ -106,144 +98,108 @@ let build_chain ~max_states (model : Tier_model.t) =
           end)
         classes)
     states;
-  (states, classes, chain, n_total)
-
-let chain ?(max_states = 20000) (model : Tier_model.t) =
-  let _, _, chain, _ = build_chain ~max_states model in
   chain
 
-(* ----- skeleton-cached solving ----- *)
+(* ----- product-form stationary law ----- *)
 
-(* The transition STRUCTURE of the multi-mode chain depends only on
-   (j, n_total): a failure transition exists iff the state has room for
-   one more failed resource (n_active ≥ 1 always, so the active count
-   min(n_active, n_total − f) is positive exactly when f < n_total), and
-   a repair transition iff the class has a failed resource. Only the
-   RATES carry the model parameters. So the state enumeration, the index
-   and the transition list are cached per (j, n_total) — and with them a
-   {!Ctmc.Solver} whose compiled sparse structure is updated in place
-   and re-solved when the next model reuses the shape. *)
-type skeleton_transition = {
-  src : int;
-  dst : int;
-  cls : int;
-  is_repair : bool;
-  mult : int; (* repairs: the class's failed count in [src] *)
-  failed : int; (* failures: total failed resources in [src] *)
-}
-
-type skeleton = {
+(* Shared state space and stationary law of the multi-mode chain, used
+   by both {!downtime_fraction} and {!downtime_by_class}. *)
+type solution = {
   states : int array array;
-  skeleton_transitions : skeleton_transition array;
-  mutable solver : Ctmc.Solver.t option;
+  classes : Tier_model.failure_class array;  (* chain classes, model order *)
+  pi : float array;
+  n_total : int;
 }
 
-let tm_fresh = Telemetry.Counter.make "avail.exact.solve.fresh"
-let tm_incremental = Telemetry.Counter.make "avail.exact.solve.incremental"
+(* [scaled_products factors] is every prefix product
+   Π_{k<i} factors.(k), i = 0 .. length, as a mantissa in [0.5, 1) (or
+   0) and a binary exponent: products of thousands of factors neither
+   overflow nor underflow, and each carries one rounding per factor. *)
+let scaled_products factors =
+  let n = Array.length factors in
+  let mantissa = Array.make (n + 1) 1. and exponent = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    let m, e = Float.frexp (mantissa.(k) *. factors.(k)) in
+    mantissa.(k + 1) <- m;
+    exponent.(k + 1) <- exponent.(k) + e
+  done;
+  (mantissa, exponent)
 
-let skeleton_cache_key :
-    ((int * int, skeleton) Hashtbl.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* The multi-mode chain is a closed product-form network: one "up"
+   station serving at min(n_active, N − F)·λ_c feeds one
+   infinite-server repair station per class (each failed resource
+   repairs on its own at 1/MTTR_c). With ρ_c = λ_c·MTTR_c and
+   F = Σ f_c, its stationary law is
 
-let reset_solver_cache () =
-  Hashtbl.reset (Domain.DLS.get skeleton_cache_key)
+     π(f) ∝ Π_{k=0}^{F−1} min(n_active, N − k) · Π_c ρ_c^{f_c} / f_c!
 
-let build_skeleton ~j ~n_total =
-  let states = Array.of_list (enumerate_states ~j ~total:n_total) in
-  let index = Hashtbl.create (Array.length states) in
-  Array.iteri (fun i s -> Hashtbl.add index (Array.to_list s) i) states;
-  let lookup s = Hashtbl.find index (Array.to_list s) in
-  let transitions = ref [] in
-  Array.iteri
-    (fun src s ->
-      let f = Array.fold_left ( + ) 0 s in
-      for i = 0 to j - 1 do
-        if f < n_total then begin
-          let target = Array.copy s in
-          target.(i) <- target.(i) + 1;
-          transitions :=
-            {
-              src;
-              dst = lookup target;
-              cls = i;
-              is_repair = false;
-              mult = 0;
-              failed = f;
-            }
-            :: !transitions
-        end;
-        if s.(i) > 0 then begin
-          let target = Array.copy s in
-          target.(i) <- target.(i) - 1;
-          transitions :=
-            {
-              src;
-              dst = lookup target;
-              cls = i;
-              is_repair = true;
-              mult = s.(i);
-              failed = f;
-            }
-            :: !transitions
-        end
-      done)
-    states;
-  {
-    states;
-    skeleton_transitions = Array.of_list (List.rev !transitions);
-    solver = None;
-  }
-
+   Detailed balance holds on every edge: the ratio π(f + e_c)/π(f) is
+   min(n_active, N − F)·ρ_c/(f_c + 1), so
+   π(f + e_c)·(f_c + 1)/MTTR_c = π(f)·min(n_active, N − F)·λ_c. The
+   level and per-class factors are tabulated as scaled products, and a
+   state's weight is rescaled by the largest exponent before it is
+   summed. A zero factor (no active resource, or a class that never
+   fails) gives π = 0, as the chain gives to states it cannot reach. *)
 let solve ~max_states (model : Tier_model.t) =
+  check_size ~max_states model;
   let n_total = model.n_active + model.n_spare in
   let classes = Array.of_list (chain_classes model) in
-  let j = Array.length classes in
-  let size = num_states model in
-  if size > max_states then
-    invalid_arg
-      (Printf.sprintf "Exact.downtime_fraction: %d states exceed limit %d"
-         size max_states);
-  let cache = Domain.DLS.get skeleton_cache_key in
-  let entry =
-    match Hashtbl.find_opt cache (j, n_total) with
-    | Some e -> e
-    | None ->
-        let e = build_skeleton ~j ~n_total in
-        Hashtbl.add cache (j, n_total) e;
-        e
+  let states =
+    Array.of_list (enumerate_states ~j:(Array.length classes) ~total:n_total)
   in
-  (* Same arithmetic as [build_chain]: a failure fires from each of the
-     min(n_active, n_total − f) active resources; a repair per failed
-     resource of the class. *)
-  let rate_of tr =
-    let c = classes.(tr.cls) in
-    if tr.is_repair then float_of_int tr.mult /. Duration.seconds c.mttr
-    else
-      float_of_int (Stdlib.min model.n_active (n_total - tr.failed)) *. c.rate
+  let level_m, level_e =
+    scaled_products
+      (Array.init n_total (fun k ->
+           float_of_int (Stdlib.min model.n_active (n_total - k))))
   in
+  let class_tables =
+    Array.map
+      (fun (c : Tier_model.failure_class) ->
+        let rho = c.rate *. Duration.seconds c.mttr in
+        scaled_products
+          (Array.init n_total (fun k -> rho /. float_of_int (k + 1))))
+      classes
+  in
+  (* At most a handful of classes have failed resources in one state
+     (C(2m, m) states already hold m of them), so the product of their
+     mantissas stays far above the underflow threshold. *)
+  let mantissa = Array.make (Array.length states) 0. in
+  let exponent = Array.make (Array.length states) 0 in
+  Array.iteri
+    (fun i s ->
+      let f = ref 0 and m = ref 1. and e = ref 0 in
+      Array.iteri
+        (fun c fc ->
+          if fc > 0 then begin
+            let cm, ce = class_tables.(c) in
+            f := !f + fc;
+            m := !m *. cm.(fc);
+            e := !e + ce.(fc)
+          end)
+        s;
+      mantissa.(i) <- !m *. level_m.(!f);
+      exponent.(i) <- !e + level_e.(!f))
+    states;
+  (* The shift is the largest exponent of a state with positive weight
+     (state 0's weight is 1 = 1·2⁰), so that state's rescaled weight is
+     its mantissa and the total is never 0. *)
+  let shift = ref 0 in
+  Array.iteri
+    (fun i m -> if m > 0. then shift := Stdlib.max !shift exponent.(i))
+    mantissa;
+  let shift = !shift in
   let pi =
-    match entry.solver with
-    | Some solver ->
-        Array.iter
-          (fun tr ->
-            Ctmc.Solver.update_rate solver ~src:tr.src ~dst:tr.dst
-              ~rate:(rate_of tr))
-          entry.skeleton_transitions;
-        Telemetry.Counter.incr tm_incremental;
-        Ctmc.Solver.solve solver
-    | None ->
-        let chain = Ctmc.create (Array.length entry.states) in
-        Array.iter
-          (fun tr ->
-            Ctmc.add_transition chain ~src:tr.src ~dst:tr.dst
-              ~rate:(rate_of tr))
-          entry.skeleton_transitions;
-        let solver = Ctmc.Solver.create chain in
-        entry.solver <- Some solver;
-        Telemetry.Counter.incr tm_fresh;
-        Ctmc.Solver.solve solver
+    Array.mapi (fun i m -> Float.ldexp m (exponent.(i) - shift)) mantissa
   in
-  { states = entry.states; classes; pi; n_total }
+  let total = Array.fold_left ( +. ) 0. pi in
+  Array.iteri (fun i w -> pi.(i) <- w /. total) pi;
+  { states; classes; pi; n_total }
+
+let stationary ?(max_states = 20000) model = (solve ~max_states model).pi
+
+(* Engine B keeps no solver state; kept so that callers which emptied
+   the old per-domain cache still link. *)
+let reset_solver_cache () = ()
 
 let downtime_fraction ?(max_states = 20000) (model : Tier_model.t) =
   let { states; classes; pi; n_total } = solve ~max_states model in

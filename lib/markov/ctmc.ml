@@ -221,20 +221,14 @@ let gth_banded_csr csr ~half_bandwidth:b =
    iteration converges for any chain that passes the ergodicity check.
    Acceptance is by residual: ‖πQ‖∞ ≤ tol·Λ, checked periodically so
    the common path stays a pure sparse sweep. *)
-let power_csr ?start csr ~tol ~max_iters =
+let power_csr csr ~tol ~max_iters =
   let n = Sparse.num_states csr in
   let exit = Array.init n (fun s -> Sparse.exit_rate csr s) in
   let max_exit = Array.fold_left Float.max 0. exit in
   let initial () =
-    match start with
-    | Some v ->
-        if Array.length v <> n then
-          invalid_arg "Ctmc.stationary_power: start dimension mismatch";
-        Array.copy v
-    | None ->
-        let v = Array.make n 0. in
-        v.(0) <- 1.;
-        v
+    let v = Array.make n 0. in
+    v.(0) <- 1.;
+    v
   in
   if max_exit = 0. then initial ()
   else begin
@@ -316,17 +310,15 @@ let default_power_iters n = 10_000 + (200 * n)
 
 let tm_fallback = Telemetry.Counter.make "markov.solver.fallback"
 
-(* [start] seeds power iteration (the previous solution of a re-solve);
-   the elimination backends have no use for it. When power iteration
-   exhausts its budget, GTH finishes the solve. *)
-let solve_csr ?start backend csr =
+(* When power iteration exhausts its budget, GTH finishes the solve. *)
+let solve_csr backend csr =
   match backend with
   | Gth -> gth_csr csr
   | Banded -> gth_banded_csr csr ~half_bandwidth:(Sparse.bandwidth csr)
   | Power -> (
       let n = Sparse.num_states csr in
       try
-        power_csr ?start csr ~tol:default_power_tol
+        power_csr csr ~tol:default_power_tol
           ~max_iters:(default_power_iters n)
       with Failure _ ->
         Telemetry.Counter.incr tm_fallback;
@@ -359,9 +351,9 @@ let with_solve_telemetry ~backend ~n f =
   else f ()
 
 (* A solve of a compiled, ergodicity-checked chain by [backend]. *)
-let solve_checked ?start backend csr =
+let solve_checked backend csr =
   with_solve_telemetry ~backend ~n:(Sparse.num_states csr) (fun () ->
-      solve_csr ?start backend csr)
+      solve_csr backend csr)
 
 let checked t =
   let csr = compile t in
@@ -384,13 +376,13 @@ let stationary_lu t =
   ignore (checked t);
   with_solve_telemetry ~backend:Lu ~n:t.n (fun () -> lu_kernel t)
 
-let stationary_power ?start ?(tol = default_power_tol) ?max_iters t =
+let stationary_power ?(tol = default_power_tol) ?max_iters t =
   let csr = checked t in
   let max_iters =
     match max_iters with Some m -> m | None -> default_power_iters t.n
   in
   with_solve_telemetry ~backend:Power ~n:t.n (fun () ->
-      power_csr ?start csr ~tol ~max_iters)
+      power_csr csr ~tol ~max_iters)
 
 let stationary_with backend t =
   match backend with
@@ -401,58 +393,6 @@ let stationary_with backend t =
 let stationary t =
   let csr = checked t in
   solve_checked (select_backend_csr csr) csr
-
-module Solver = struct
-  type chain = t
-
-  type nonrec t = {
-    csr : Sparse.t;
-    mutable pi : Vector.t option; (* last accepted solution *)
-    mutable dirty : bool;
-  }
-
-  let tm_fresh = Telemetry.Counter.make "markov.solver.fresh"
-  let tm_incremental = Telemetry.Counter.make "markov.solver.incremental"
-  let tm_cached = Telemetry.Counter.make "markov.solver.cached"
-
-  let create chain = { csr = checked chain; pi = None; dirty = true }
-
-  let num_states t = Sparse.num_states t.csr
-
-  let update_rate t ~src ~dst ~rate =
-    if not (Float.is_finite rate) || rate <= 0. then
-      invalid_arg (Printf.sprintf "Ctmc.Solver.update_rate: rate %g" rate);
-    match Sparse.slot t.csr ~src ~dst with
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Ctmc.Solver.update_rate: no transition %d -> %d in the compiled \
-              structure"
-             src dst)
-    | Some k ->
-        if Sparse.rate_at t.csr k <> rate then begin
-          Sparse.set_rate_at t.csr k rate;
-          t.dirty <- true
-        end
-
-  (* A re-solve is the same solve as a first one, on the updated rates;
-     only power iteration (above the dense limit) starts from the
-     previous vector. *)
-  let solve t =
-    match t.pi with
-    | Some pi when not t.dirty ->
-        Telemetry.Counter.incr tm_cached;
-        Array.copy pi
-    | previous ->
-        Telemetry.Counter.incr
-          (if Option.is_none previous then tm_fresh else tm_incremental);
-        let pi =
-          solve_checked ?start:previous (select_backend_csr t.csr) t.csr
-        in
-        t.pi <- Some pi;
-        t.dirty <- false;
-        Array.copy pi
-end
 
 let expected_reward t ~reward =
   let pi = stationary t in

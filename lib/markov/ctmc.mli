@@ -49,7 +49,7 @@ val generator : t -> Aved_linalg.Matrix.t
 
 val compile : t -> Sparse.t
 (** The chain's transitions in compressed sparse-row form — what the
-    stationary solvers and {!Solver} operate on. *)
+    stationary solvers operate on. *)
 
 type backend = Gth | Banded | Power | Lu
 (** Stationary solver backends. [Gth] and [Banded] produce bitwise
@@ -68,8 +68,9 @@ val select_backend : t -> backend
 
 val stationary : t -> Aved_linalg.Vector.t
 (** Stationary distribution via the auto-selected backend; a [Power]
-    solve whose iteration budget runs out is finished by GTH. Raises
-    {!Non_ergodic} as described there. *)
+    solve whose iteration budget runs out is finished by GTH and counts
+    into [markov.solver.fallback]. Raises {!Non_ergodic} as described
+    there. *)
 
 val stationary_with : backend -> t -> Aved_linalg.Vector.t
 (** Stationary distribution via an explicit backend — primarily for the
@@ -86,57 +87,14 @@ val stationary_lu : t -> Aved_linalg.Vector.t
 (** Stationary distribution by solving [πQ = 0, Σπ = 1] with LU. *)
 
 val stationary_power :
-  ?start:Aved_linalg.Vector.t ->
   ?tol:float ->
   ?max_iters:int ->
   t ->
   Aved_linalg.Vector.t
 (** Stationary distribution by uniformized power iteration, accepted
     when ‖πQ‖∞ ≤ [tol]·Λ (Λ = 1.02 × the largest exit rate; [tol]
-    defaults to 1e-12). [start] warm-starts the iteration, as a
-    {!Solver} re-solve above the 2048-state cap does. Raises [Failure]
-    when the iteration budget is exhausted before the residual test
-    passes. *)
-
-(** Incremental stationary solving for a chain whose transition
-    {e structure} is fixed while individual rates change — the shape
-    produced by perturbing one model parameter. The CSR form is compiled
-    and checked for ergodicity once; {!Solver.update_rate} edits rates in
-    place and the next {!Solver.solve} runs the same backend {!stationary}
-    would on the updated chain. Below the 2048-state cap the answer is
-    therefore bitwise that of a fresh {!stationary} call, whatever rates
-    were solved before; above it, power iteration starts from the
-    previous solution. *)
-module Solver : sig
-  type chain = t
-  type t
-
-  val create : chain -> t
-  (** Compiles the chain and runs the ergodicity check (structure never
-      changes afterwards, so the check holds for all rate updates).
-      Raises {!Non_ergodic}. The solver does not alias the chain: later
-      [add_transition] calls on the chain are not seen. *)
-
-  val num_states : t -> int
-
-  val update_rate : t -> src:int -> dst:int -> rate:float -> unit
-  (** Overwrites the rate of an existing transition. Raises
-      [Invalid_argument] if the transition is absent from the compiled
-      structure or the rate is not finite and positive. *)
-
-  val solve : t -> Aved_linalg.Vector.t
-  (** The stationary distribution for the current rates. Returns a fresh
-      copy; caches internally, so calling it twice without an
-      intervening rate change is O(n). A solve is recorded like a
-      {!stationary} one: a [markov.solve.<backend>] trace span and the
-      [markov.<backend>.solves] counter. It also counts into
-      [markov.solver.fresh] (the first solve of a structure),
-      [markov.solver.incremental] (a re-solve after a rate change) or
-      [markov.solver.cached] (answered from the cached vector); an
-      auto-selected power solve, here or by {!stationary}, whose budget
-      ran out so that GTH finished it counts into
-      [markov.solver.fallback]. *)
-end
+    defaults to 1e-12). Raises [Failure] when the iteration budget is
+    exhausted before the residual test passes. *)
 
 val expected_reward : t -> reward:(int -> float) -> float
 (** [expected_reward chain ~reward] is Σ π(s)·reward(s) under the

@@ -44,7 +44,6 @@ let of_adjacency ~n rates =
   { n; row_ptr; col; rate }
 
 let num_states t = t.n
-let nnz t = t.row_ptr.(t.n)
 
 let bandwidth t =
   let b = ref 0 in
@@ -66,34 +65,6 @@ let exit_rate t s =
     acc := !acc +. t.rate.(k)
   done;
   !acc
-
-let slot t ~src ~dst =
-  check_state t src;
-  check_state t dst;
-  let lo = ref t.row_ptr.(src) and hi = ref (t.row_ptr.(src + 1) - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = t.col.(mid) in
-    if c = dst then found := Some mid
-    else if c < dst then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let check_slot t k =
-  if k < 0 || k >= nnz t then
-    invalid_arg (Printf.sprintf "Sparse: slot %d out of [0, %d)" k (nnz t))
-
-let rate_at t k =
-  check_slot t k;
-  t.rate.(k)
-
-let set_rate_at t k r =
-  check_slot t k;
-  if not (Float.is_finite r) || r <= 0. then
-    invalid_arg (Printf.sprintf "Sparse.set_rate_at: rate %g" r);
-  t.rate.(k) <- r
 
 let iter_row t s f =
   check_state t s;

@@ -1,9 +1,8 @@
 (** Compressed-sparse-row adjacency of a CTMC's transition rates.
 
     Built once per chain from the hash-table adjacency of {!Ctmc}, it
-    gives the solvers cache-friendly iteration, O(log degree) slot
-    lookup for in-place rate updates, and the bandwidth that drives
-    backend selection. Column indices are sorted within each row; every
+    gives the solvers cache-friendly iteration and the bandwidth that
+    drives backend selection. Column indices are sorted within each row; every
     stored rate is positive. *)
 
 type t
@@ -15,7 +14,6 @@ val of_adjacency : n:int -> (int, float) Hashtbl.t array -> t
     iteration order. *)
 
 val num_states : t -> int
-val nnz : t -> int
 
 val bandwidth : t -> int
 (** Largest [|src - dst|] over the stored transitions; [0] for a chain
@@ -23,15 +21,6 @@ val bandwidth : t -> int
 
 val exit_rate : t -> int -> float
 (** Sum of the outgoing rates of a state, in column order. *)
-
-val slot : t -> src:int -> dst:int -> int option
-(** Index of the (src, dst) entry in the value array, if present.
-    Binary search within the row. *)
-
-val rate_at : t -> int -> float
-val set_rate_at : t -> int -> float -> unit
-(** Overwrite the rate in a slot found by {!slot}. Structure (which
-    transitions exist) is immutable; only magnitudes change. *)
 
 val iter_row : t -> int -> (dst:int -> rate:float -> unit) -> unit
 (** Visit a state's outgoing transitions in ascending destination

@@ -111,17 +111,12 @@ let attributed_counters =
     "search.eval.downtime.reused";
     "avail.engine.analytic.calls";
     "avail.engine.exact.calls";
-    "avail.exact.solve.fresh";
-    "avail.exact.solve.incremental";
     "markov.birth_death.solves";
     "markov.gth.solves";
     "markov.banded.solves";
     "markov.power.solves";
     "markov.lu.solves";
-    "markov.solver.fresh";
-    "markov.solver.incremental";
     "markov.solver.fallback";
-    "markov.solver.cached";
     "parallel.tasks.queued";
     "parallel.tasks.executed";
   ]

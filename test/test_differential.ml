@@ -1,8 +1,9 @@
 (* Cross-engine differential tests: random small tier models pushed
-   through Engine A (aggregated birth-death chain), Engine B (exact
-   multi-mode CTMC) and Engine C (Monte-Carlo simulation), asserting
-   the documented agreement bounds. Models are kept small (n + s <= 4,
-   at most 2 failure classes) so Engine B stays exact and cheap. *)
+   through Engine A (aggregated birth-death chain), Engine B (the
+   multi-mode chain's product-form law) and Engine C (Monte-Carlo
+   simulation), asserting the documented agreement bounds. Models are
+   kept small (n + s <= 4, at most 4 failure classes) so that the
+   simulation comparison stays cheap. *)
 
 module Duration = Aved_units.Duration
 module Service = Aved_model.Service
@@ -87,14 +88,16 @@ let a_vs_b_single_class =
 let a_vs_b_multi_class =
   QCheck2.Test.make
     ~name:"A within aggregation tolerance of B on two-class models"
-    ~count:300 ~print:pp_model (gen_model ~max_classes:2 ()) (fun m ->
+    ~count:300 ~print:pp_model (gen_model ~max_classes:4 ()) (fun m ->
       let a = Analytic.downtime_fraction m in
       let b = Exact.downtime_fraction m in
-      (* With unequal repair rates the single aggregate repair rate is
-         an approximation; the documented envelope on small models is a
-         modest relative error, plus an absolute floor for near-zero
-         downtimes. *)
-      Float.abs (a -. b) <= 1e-12 +. (0.35 *. Float.max a b))
+      (* Up to four classes with unequal repair rates: summed over each
+         level of failed resources, B's product-form law is A's
+         birth-death law with the rate-weighted mean repair time, and
+         every downtime term depends on the level alone. So the
+         aggregation is exact and the bound is the single-class
+         identity bound. *)
+      Float.abs (a -. b) <= 1e-12 +. (1e-9 *. a))
 
 (* ------------------------------------------------------------------ *)
 (* Engine C vs A and B *)

@@ -1,13 +1,14 @@
 (* Numerical-equivalence harness for the CTMC solving substrate.
 
-   The sparse backends (GTH elimination, banded elimination, warm-started
-   power iteration) and the incremental solver exist to make the search
-   fast; this suite pins them to the dense LU reference on randomly
-   generated ergodic chains so a speed optimization can never silently
-   change the numbers. Chains are generated from fixed seeds — failures
-   reproduce. Engine B's own chains are stiff (failures in days, repairs
-   in minutes), which random rates never are, so they get a sweep of
-   their own that demands elimination-exact answers. *)
+   The sparse backends (GTH elimination, banded elimination, power
+   iteration) exist to make the solves fast; this suite pins them to
+   the dense LU reference on randomly generated ergodic chains so a
+   speed optimization can never silently change the numbers. Chains are
+   generated from fixed seeds — failures reproduce. Engine B's chains
+   are stiff (failures in days, repairs in minutes), which random rates
+   never are, so they get a sweep of their own that demands
+   elimination-exact answers; and GTH on them is the oracle for Engine
+   B's closed-form stationary law. *)
 
 module Ctmc = Aved_markov.Ctmc
 module Matrix = Aved_linalg.Matrix
@@ -117,8 +118,7 @@ let test_backend_invariants () =
 (* Stiff availability chains: Engine B's multi-mode chains of the
    e-commerce application tier (resource rC of the Fig. 3 spec). Its
    four chain classes fail every 60-650 days and repair in 2 minutes to
-   38 hours. Each shape comes in two maintenance levels, so a solver
-   built on one can be re-solved on the other. *)
+   38 hours. *)
 
 let rc_model ~classes ~level ~n_active ~n_spare =
   let infra = Aved.Experiments.infrastructure () in
@@ -156,9 +156,8 @@ let bits_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-(* Elimination is the answer on these chains: the auto-selected solve,
-   forced banded GTH and a re-solve of a solver built on the other
-   maintenance level all reproduce dense GTH bit for bit, and dense LU
+(* Elimination is the answer on these chains: the auto-selected solve
+   and forced banded GTH reproduce dense GTH bit for bit, and dense LU
    agrees to 1e-12. Power iteration is left out: on chains this stiff it
    exhausts its budget, which is why it is not selected for them. *)
 let test_stiff_chains () =
@@ -174,14 +173,6 @@ let test_stiff_chains () =
       in
       exact "stationary" (Ctmc.stationary chain);
       exact "banded" (Ctmc.stationary_with Ctmc.Banded chain);
-      let solver =
-        Ctmc.Solver.create (rc_chain ~classes ~level:"bronze" ~n_active ~n_spare)
-      in
-      ignore (Ctmc.Solver.solve solver);
-      List.iter
-        (fun (src, dst, rate) -> Ctmc.Solver.update_rate solver ~src ~dst ~rate)
-        (Ctmc.transitions chain);
-      exact "re-solve after rate updates" (Ctmc.Solver.solve solver);
       let lu = Vector.max_abs_diff gth (Ctmc.stationary_lu chain) in
       if lu > 1e-12 then
         Alcotest.failf "%d states: gth differs from lu by %.3e" n lu)
@@ -213,8 +204,8 @@ let test_backend_selection () =
     [ (2048, Ctmc.Gth); (2049, Ctmc.Power); (3000, Ctmc.Power) ]
 
 (* ------------------------------------------------------------------ *)
-(* Ill-posed chains: every backend (and the incremental solver) must
-   reject them with the same typed error, never return garbage. *)
+(* Ill-posed chains: every backend must reject them with the same typed
+   error, never return garbage. *)
 
 let absorbing_chain n =
   let chain = Ctmc.create n in
@@ -245,185 +236,130 @@ let test_non_ergodic_rejected () =
           match Ctmc.stationary_with backend chain with
           | _ -> Alcotest.failf "%s: %s accepted a non-ergodic chain" kind name
           | exception Ctmc.Non_ergodic _ -> ())
-        backends;
-      match Ctmc.Solver.create chain with
-      | _ -> Alcotest.failf "%s: Solver.create accepted it" kind
-      | exception Ctmc.Non_ergodic _ -> ())
+        backends)
     [
       ("absorbing", absorbing_chain 6);
       ("escaping", escaping_chain ());
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental solving: perturb one rate at a time; the re-solve must
-   be bitwise a from-scratch solve of the same chain. *)
+(* Engine B's closed form against the GTH oracle. *)
 
-let test_incremental_vs_fresh () =
-  let st = Random.State.make [| 0x1234; 7 |] in
-  let n = 60 in
-  let chain = rand_chain st ~n ~extra:(2 * n) in
-  let transitions = Array.of_list (Ctmc.transitions chain) in
-  let solver = Ctmc.Solver.create chain in
-  for step = 1 to 25 do
-    let i = Random.State.int st (Array.length transitions) in
-    let src, dst, _ = transitions.(i) in
-    let rate = rand_rate st in
-    transitions.(i) <- (src, dst, rate);
-    Ctmc.Solver.update_rate solver ~src ~dst ~rate;
-    let fresh = Ctmc.create n in
-    Array.iter
-      (fun (src, dst, rate) -> Ctmc.add_transition fresh ~src ~dst ~rate)
-      transitions;
-    let incremental = Ctmc.Solver.solve solver in
-    if not (bits_equal incremental (Ctmc.stationary fresh)) then
-      Alcotest.failf "step %d: incremental differs from a fresh stationary"
-        step;
-    let reference = Ctmc.stationary_lu fresh in
-    let diff = Vector.max_abs_diff incremental reference in
-    if diff > 1e-9 then
-      Alcotest.failf "step %d: incremental differs from fresh by %.3e" step
-        diff
-  done
-
-(* The solvers count into the installed telemetry registry; [counted f]
-   runs [f] under a fresh one and returns a reader of its counters. *)
-let counted f =
-  let registry = Telemetry.create () in
-  let result = Telemetry.with_registry registry f in
-  (result, Telemetry.Counter.read_by_name registry)
-
-let test_solver_counters_move () =
-  let st = Random.State.make [| 0xc0; 3 |] in
-  let chain = rand_chain st ~n:30 ~extra:30 in
-  let (), counter =
-    counted (fun () ->
-        let solver = Ctmc.Solver.create chain in
-        ignore (Ctmc.Solver.solve solver);
-        ignore (Ctmc.Solver.solve solver);
-        Ctmc.Solver.update_rate solver ~src:0 ~dst:1 ~rate:2.5;
-        ignore (Ctmc.Solver.solve solver))
+(* Random tier models of 1-4 chain classes whose chains have at most
+   2048 states (GTH's dense limit): per class count, the resource total
+   is drawn up to the largest that fits. Rates and repair times span
+   the stiff range of the e-commerce specs; a zero-MTTR class now and
+   then checks that such classes stay out of the chain. *)
+let gen_tier_model =
+  let open QCheck2.Gen in
+  let max_total = [| 0; 2047; 62; 20; 12 |] in
+  let* j = int_range 1 4 in
+  let* n_total = int_range 1 max_total.(j) in
+  let* n_active = int_range 1 n_total in
+  let* n_min = int_range 1 n_active in
+  let* instant = bool in
+  let* raw =
+    list_repeat
+      (if instant then j + 1 else j)
+      (pair (float_range 2. 650.) (float_range 0.03 48.))
   in
-  Alcotest.(check (list int)) "fresh, cached, incremental, fallback"
-    [ 1; 1; 1; 0 ]
-    (List.map counter
-       [
-         "markov.solver.fresh"; "markov.solver.cached";
-         "markov.solver.incremental"; "markov.solver.fallback";
-       ])
-
-(* Above the dense limit a re-solve is power iteration started from the
-   previous vector: it must still meet the solver's residual test, so
-   it agrees with a cold power solve of the same chain. *)
-let test_power_warm_start () =
-  let st = Random.State.make [| 0xbeef; 9 |] in
-  let n = 2100 in
-  let chain = rand_chain st ~n ~extra:n in
-  let src, dst, _ = List.hd (Ctmc.transitions chain) in
-  let warm, counter =
-    counted (fun () ->
-        let solver = Ctmc.Solver.create chain in
-        ignore (Ctmc.Solver.solve solver);
-        Ctmc.Solver.update_rate solver ~src ~dst ~rate:3.5;
-        Ctmc.Solver.solve solver)
-  in
-  let perturbed = Ctmc.create n in
-  List.iter
-    (fun (s, d, rate) ->
-      Ctmc.add_transition perturbed ~src:s ~dst:d
-        ~rate:(if s = src && d = dst then 3.5 else rate))
-    (Ctmc.transitions chain);
-  let diff = Vector.max_abs_diff warm (Ctmc.stationary_power perturbed) in
-  if diff > 1e-9 then
-    Alcotest.failf "warm-started power differs from cold by %.3e" diff;
-  Alcotest.(check (pair int int)) "fresh, incremental" (1, 1)
-    (counter "markov.solver.fresh", counter "markov.solver.incremental");
-  Alcotest.(check int) "converged without elimination" 0
-    (counter "markov.solver.fallback")
-
-(* ------------------------------------------------------------------ *)
-(* The exact availability engine rides the same solver: perturbing one
-   model parameter must give the same downtime whether the (j, N)
-   skeleton is reused warm or rebuilt from scratch. *)
-
-let synthetic_model ~mttr_hours ~n_active =
-  {
-    Avail.Tier_model.tier_name = "synthetic";
-    n_active;
-    n_min = max 1 (n_active - 2);
-    n_spare = 1;
-    failure_scope = Aved_model.Service.Resource_scope;
-    classes =
-      [
+  let classes =
+    List.mapi
+      (fun i (mtbf_days, mttr_hours) ->
         {
-          Avail.Tier_model.label = "hw";
-          rate = 1. /. (720. *. 3600.);
-          mttr = Duration.of_hours mttr_hours;
+          Avail.Tier_model.label = Printf.sprintf "c%d" i;
+          rate = 1. /. (mtbf_days *. 86400.);
+          mttr =
+            (if instant && i = j then Duration.zero
+             else Duration.of_hours mttr_hours);
           failover_time = Duration.of_minutes 5.;
-          failover_considered = true;
-          repair_mechanism = None;
-        };
-        {
-          Avail.Tier_model.label = "sw";
-          rate = 1. /. (96. *. 3600.);
-          mttr = Duration.of_hours (mttr_hours /. 4.);
-          failover_time = Duration.of_minutes 2.;
           failover_considered = false;
           repair_mechanism = None;
-        };
-      ];
-    loss_window = None;
-    effective_performance = 100.;
-  }
-
-let test_exact_incremental_vs_fresh () =
-  Avail.Exact.reset_solver_cache ();
-  (* Warm the (j, N) skeleton, then perturb one MTTR and solve warm. *)
-  let warm, counter =
-    counted (fun () ->
-        ignore
-          (Avail.Exact.downtime_fraction
-             (synthetic_model ~mttr_hours:8. ~n_active:5));
-        Avail.Exact.downtime_fraction
-          (synthetic_model ~mttr_hours:11. ~n_active:5))
+        })
+      raw
   in
-  Alcotest.(check (pair int int)) "fresh, then a reuse of the skeleton"
-    (1, 1)
-    (counter "avail.exact.solve.fresh", counter "avail.exact.solve.incremental");
-  (* From scratch: drop the cache and solve the perturbed model cold. *)
-  Avail.Exact.reset_solver_cache ();
-  let cold =
-    Avail.Exact.downtime_fraction (synthetic_model ~mttr_hours:11. ~n_active:5)
-  in
-  if not (bits_equal [| warm |] [| cold |]) then
-    Alcotest.failf "exact warm %.17g vs cold %.17g" warm cold
+  return
+    {
+      Avail.Tier_model.tier_name = "product-form";
+      n_active;
+      n_min;
+      n_spare = n_total - n_active;
+      failure_scope = Aved_model.Service.Resource_scope;
+      classes;
+      loss_window = None;
+      effective_performance = 100.;
+    }
 
-(* A model's answer does not depend on what the domain solved before:
-   model Y after X (same (j, N) shape, so Y re-solves X's skeleton)
-   is bitwise Y alone, on a 330-state e-commerce chain. *)
+let print_tier_model (m : Avail.Tier_model.t) =
+  Printf.sprintf "n=%d s=%d classes=[%s] (%d states)" m.n_active m.n_spare
+    (String.concat "; "
+       (List.map
+          (fun (c : Avail.Tier_model.failure_class) ->
+            Printf.sprintf "rate=%.3e mttr=%.3gh" c.rate (Duration.hours c.mttr))
+          m.classes))
+    (Avail.Exact.num_states m)
+
+(* Elementwise, relative to each entry, since π(s) spans hundreds of
+   orders of magnitude between the all-up and the all-failed states:
+   the closed form carries about two roundings per failed resource, GTH
+   a few per elimination step. Entries near the subnormal range carry
+   no relative precision, so they get an absolute floor of 1e-300. *)
+let product_form_vs_gth =
+  QCheck2.Test.make ~name:"product form equals GTH elementwise" ~count:60
+    ~print:print_tier_model gen_tier_model (fun m ->
+      let closed = Avail.Exact.stationary m in
+      let gth = Ctmc.stationary_gth (Avail.Exact.chain m) in
+      Array.length closed = Array.length gth
+      && Array.for_all2
+           (fun p g -> Float.abs (p -. g) <= (1e-12 *. g) +. 1e-300)
+           closed gth)
+
+(* The application-tier frontier at load 1000 holds twelve models above
+   the dense limit (2380 to 4845 states), where a chain solve would fall
+   to power iteration. The closed form answers them, and agrees with
+   Engine A to the relative part of the identity bound: their downtime
+   fractions (about 1e-25 on the 2380-state models) sit far below its
+   1e-12 absolute floor, which would accept any answer. *)
+let test_exact_above_dense_limit () =
+  let large =
+    Aved_search.Tier_search.frontier Aved_search.Search_config.default
+      (Aved.Experiments.infrastructure ())
+      ~tier:(Aved.Experiments.application_tier ())
+      ~demand:1000.
+    |> List.filter_map (fun (c : Aved_search.Candidate.t) ->
+           if Avail.Exact.num_states c.model > 2048 then Some c.model else None)
+  in
+  Alcotest.(check bool) "the 2380-state model is on the frontier" true
+    (List.exists (fun m -> Avail.Exact.num_states m = 2380) large);
+  List.iter
+    (fun m ->
+      let a = Avail.Analytic.downtime_fraction m in
+      let b = Avail.Exact.downtime_fraction m in
+      if not (Float.abs (a -. b) <= 1e-9 *. a) then
+        Alcotest.failf "%s: A %.17g vs B %.17g" (print_tier_model m) a b)
+    large
+
+(* ------------------------------------------------------------------ *)
+(* Engine B keeps no state between answers. *)
+
+(* A model's answer does not depend on what the domain answered before:
+   model Y after X (the same (j, N) shape, on a 330-state e-commerce
+   chain) is bitwise Y alone. *)
 let test_exact_history_independent () =
   let x = rc_model ~classes:4 ~level:"bronze" ~n_active:6 ~n_spare:1 in
   let y = rc_model ~classes:4 ~level:"platinum" ~n_active:5 ~n_spare:2 in
-  Avail.Exact.reset_solver_cache ();
   let alone = Avail.Exact.downtime_fraction y in
-  Avail.Exact.reset_solver_cache ();
-  let after_x, counter =
-    counted (fun () ->
-        ignore (Avail.Exact.downtime_fraction x);
-        Avail.Exact.downtime_fraction y)
-  in
-  Alcotest.(check int) "y re-solved x's skeleton" 1
-    (counter "avail.exact.solve.incremental");
+  ignore (Avail.Exact.downtime_fraction x);
+  let after_x = Avail.Exact.downtime_fraction y in
   if not (bits_equal [| alone |] [| after_x |]) then
     Alcotest.failf "y alone %.17g vs after x %.17g" alone after_x
 
-(* Engine B's solves are recorded like any stationary solve: a
-   markov.solve.gth span under each avail.engine.exact span, the gth
-   solve counter and the state-count histogram, with the solver
-   counters telling the first solve of the shape from the re-solve. *)
+(* Engine B's answers are observed through its engine span, call
+   counter and state-count histogram; none of them reaches a markov
+   backend, so no markov span opens and no solve counter moves. *)
 let test_exact_solves_observed () =
   let registry = Telemetry.create () in
   Telemetry.with_registry registry @@ fun () ->
-  Avail.Exact.reset_solver_cache ();
   let tr = Trace.create ~trace_id:"e8" () in
   let root = Trace.alloc_span_id tr in
   Trace.with_context (Some (Trace.context tr ~parent:root)) (fun () ->
@@ -436,40 +372,36 @@ let test_exact_solves_observed () =
         [ "gold"; "silver" ]);
   let spans = Trace.spans tr in
   let named name = List.filter (fun sp -> sp.Trace.name = name) spans in
-  let engines = List.map (fun sp -> sp.Trace.id) (named "avail.engine.exact") in
-  let solves = named "markov.solve.gth" in
-  Alcotest.(check int) "engine spans" 2 (List.length engines);
-  Alcotest.(check int) "solve spans" 2 (List.length solves);
-  List.iter
-    (fun sp ->
-      Alcotest.(check bool) "solve span under an engine span" true
-        (List.mem sp.Trace.parent engines))
-    solves;
-  Alcotest.(check (list string)) "no other markov spans" []
+  Alcotest.(check int) "engine spans" 2
+    (List.length (named "avail.engine.exact"));
+  Alcotest.(check (list string)) "no markov spans" []
     (List.filter_map
        (fun sp ->
-         let name = sp.Trace.name in
-         if
-           String.starts_with ~prefix:"markov." name
-           && name <> "markov.solve.gth"
-         then Some name
+         if String.starts_with ~prefix:"markov." sp.Trace.name then
+           Some sp.Trace.name
          else None)
        spans);
   let counter = Telemetry.Counter.read_by_name registry in
   Alcotest.(check (list int))
-    "gth solves, solver fresh/incremental/fallback, exact fresh/incremental"
-    [ 2; 1; 1; 0; 1; 1 ]
+    "engine calls; gth, banded, power solves; solver fallback"
+    [ 2; 0; 0; 0; 0 ]
     (List.map counter
        [
-         "markov.gth.solves"; "markov.solver.fresh";
-         "markov.solver.incremental"; "markov.solver.fallback";
-         "avail.exact.solve.fresh"; "avail.exact.solve.incremental";
+         "avail.engine.exact.calls"; "markov.gth.solves";
+         "markov.banded.solves"; "markov.power.solves";
+         "markov.solver.fallback";
        ]);
-  match List.assoc_opt "markov.solve.states" (Telemetry.histograms registry) with
+  Alcotest.(check (list string)) "no markov histogram" []
+    (List.filter
+       (fun name -> String.starts_with ~prefix:"markov." name)
+       (List.map fst (Telemetry.histograms registry)));
+  match
+    List.assoc_opt "avail.engine.exact.states" (Telemetry.histograms registry)
+  with
   | Some h ->
       Alcotest.(check (pair int (float 0.))) "states observed" (2, 330.)
         (h.count, h.max)
-  | None -> Alcotest.fail "markov.solve.states not observed"
+  | None -> Alcotest.fail "avail.engine.exact.states not observed"
 
 let () =
   Alcotest.run "solver_equivalence"
@@ -481,6 +413,9 @@ let () =
           Alcotest.test_case "stiff availability chains" `Quick
             test_stiff_chains;
           Alcotest.test_case "backend selection" `Quick test_backend_selection;
+          QCheck_alcotest.to_alcotest product_form_vs_gth;
+          Alcotest.test_case "exact engine above the dense limit" `Quick
+            test_exact_above_dense_limit;
         ] );
       ( "invariants",
         [
@@ -491,14 +426,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "solver tracks fresh solves" `Quick
-            test_incremental_vs_fresh;
-          Alcotest.test_case "solver counters" `Quick
-            test_solver_counters_move;
-          Alcotest.test_case "power warm start above the dense limit" `Quick
-            test_power_warm_start;
-          Alcotest.test_case "exact engine warm vs cold" `Quick
-            test_exact_incremental_vs_fresh;
           Alcotest.test_case "exact engine history independence" `Quick
             test_exact_history_independent;
           Alcotest.test_case "exact engine solves observed" `Quick
