@@ -70,7 +70,11 @@ let tier_arg =
 let jobs_arg =
   let doc =
     "Number of domains the search may use (defaults to the runtime's \
-     recommended domain count). The result is identical for every value."
+     recommended domain count). The chosen design, frontier and figures are \
+     identical for every value. $(b,aved explain) is the exception: its \
+     candidate counts ($(i,designs_considered), $(i,provenance.noted)) can \
+     differ between values (ROADMAP: \"Explain answers that do not depend \
+     on --jobs\")."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~doc ~docv:"N")
 
@@ -88,16 +92,6 @@ let no_check_arg =
      Error-severity diagnostics."
   in
   Arg.(value & flag & info [ "no-check" ] ~doc)
-
-let prune_bounds_arg =
-  let doc =
-    "Let the search skip candidates the interval bounds analysis proves \
-     cannot beat the incumbent or meet the requirement. The chosen design \
-     and frontier are identical to an unpruned run; pruned candidates \
-     appear in provenance ($(b,aved explain)) with a machine-checkable \
-     certificate. Ignored when spare-active modes are explored."
-  in
-  Arg.(value & flag & info [ "prune-bounds" ] ~doc)
 
 let trace_file_arg =
   let doc =
@@ -193,11 +187,10 @@ let with_telemetry ?(stats = false) ?trace f =
   end
 
 (* Search configuration of every command: the base with the requested
-   parallelism and bound pruning. Validated here rather than in the
-   cmdliner converter so every command reports bad values the same way
-   (exit 1, one line on stderr). *)
-let search_config ?(base = Aved_search.Search_config.default)
-    ?(prune_bounds = false) jobs =
+   parallelism. Validated here rather than in the cmdliner converter so
+   every command reports bad values the same way (exit 1, one line on
+   stderr). *)
+let search_config ?(base = Aved_search.Search_config.default) jobs =
   let jobs =
     match jobs with
     | Some j when j < 1 ->
@@ -205,6 +198,4 @@ let search_config ?(base = Aved_search.Search_config.default)
     | Some j -> j
     | None -> Domain.recommended_domain_count ()
   in
-  base
-  |> Aved_search.Search_config.with_jobs jobs
-  |> Aved_search.Search_config.with_prune_bounds prune_bounds
+  Aved_search.Search_config.with_jobs jobs base

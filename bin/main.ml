@@ -15,12 +15,12 @@ module Json = Aved_explain.Json
 (* aved design *)
 
 let design_cmd =
-  let run infra_file service_file load downtime job_hours json jobs
-      prune_bounds stats trace no_check =
+  let run infra_file service_file load downtime job_hours json jobs stats
+      trace no_check =
     handle_errors (fun () ->
         let requirements = requirements ~load ~downtime ~job_hours in
         let infra, service = load_checked ~no_check ~infra_file ~service_file in
-        let config = search_config ~prune_bounds jobs in
+        let config = search_config jobs in
         with_telemetry ~stats ?trace @@ fun () ->
         let report = Aved.Engine.design ~config infra service requirements in
         (if json then
@@ -40,8 +40,8 @@ let design_cmd =
   let term =
     Term.(
       const run $ infra_file $ service_file $ load_arg $ downtime_arg
-      $ job_hours_arg $ json_arg $ jobs_arg $ prune_bounds_arg $ stats_arg
-      $ trace_file_arg $ no_check_arg)
+      $ job_hours_arg $ json_arg $ jobs_arg $ stats_arg $ trace_file_arg
+      $ no_check_arg)
   in
   Cmd.v
     (Cmd.info "design"
@@ -62,8 +62,8 @@ let frontier_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run infra_file service_file tier_name load explain json jobs
-      prune_bounds stats trace no_check =
+  let run infra_file service_file tier_name load explain json jobs stats
+      trace no_check =
     handle_errors (fun () ->
         let load =
           match load with Some l -> l | None -> failwith "--load is required"
@@ -77,7 +77,7 @@ let frontier_cmd =
               | None -> failwith (Printf.sprintf "no tier %S" name))
           | None -> List.hd service.Model.Service.tiers
         in
-        let config = search_config ~prune_bounds jobs in
+        let config = search_config jobs in
         with_telemetry ~stats ?trace @@ fun () ->
         let frontier =
           Aved_search.Tier_search.frontier config infra ~tier ~demand:load
@@ -115,8 +115,8 @@ let frontier_cmd =
   let term =
     Term.(
       const run $ infra_file $ service_file $ tier_arg $ load_arg
-      $ explain_flag $ json_arg $ jobs_arg $ prune_bounds_arg $ stats_arg
-      $ trace_file_arg $ no_check_arg)
+      $ explain_flag $ json_arg $ jobs_arg $ stats_arg $ trace_file_arg
+      $ no_check_arg)
   in
   Cmd.v
     (Cmd.info "frontier"
@@ -242,12 +242,12 @@ let explain_cmd =
     let doc = "Runner-up candidates to show per tier." in
     Arg.(value & opt int 5 & info [ "top" ] ~doc ~docv:"K")
   in
-  let run infra_file service_file load downtime job_hours top json jobs
-      prune_bounds stats trace no_check =
+  let run infra_file service_file load downtime job_hours top json jobs stats
+      trace no_check =
     handle_errors (fun () ->
         let requirements = requirements ~load ~downtime ~job_hours in
         let infra, service = load_checked ~no_check ~infra_file ~service_file in
-        let config = search_config ~prune_bounds jobs in
+        let config = search_config jobs in
         with_telemetry ~stats ?trace @@ fun () ->
         let trail = Aved_search.Provenance.create () in
         let result =
@@ -276,8 +276,8 @@ let explain_cmd =
   let term =
     Term.(
       const run $ infra_file $ service_file $ load_arg $ downtime_arg
-      $ job_hours_arg $ top_arg $ json_arg $ jobs_arg $ prune_bounds_arg
-      $ stats_arg $ trace_file_arg $ no_check_arg)
+      $ job_hours_arg $ top_arg $ json_arg $ jobs_arg $ stats_arg
+      $ trace_file_arg $ no_check_arg)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -297,12 +297,12 @@ let report_cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the report to a file.")
   in
-  let run infra_file service_file load downtime job_hours jobs prune_bounds
-      out stats trace no_check =
+  let run infra_file service_file load downtime job_hours jobs out stats
+      trace no_check =
     handle_errors (fun () ->
         let requirements = requirements ~load ~downtime ~job_hours in
         let infra, service = load_checked ~no_check ~infra_file ~service_file in
-        let config = search_config ~prune_bounds jobs in
+        let config = search_config jobs in
         with_telemetry ~stats ?trace @@ fun () ->
         match Aved.Report.generate ~config infra service requirements with
         | None ->
@@ -321,8 +321,8 @@ let report_cmd =
   let term =
     Term.(
       const run $ infra_file $ service_file $ load_arg $ downtime_arg
-      $ job_hours_arg $ jobs_arg $ prune_bounds_arg $ out_arg $ stats_arg
-      $ trace_file_arg $ no_check_arg)
+      $ job_hours_arg $ jobs_arg $ out_arg $ stats_arg $ trace_file_arg
+      $ no_check_arg)
   in
   Cmd.v
     (Cmd.info "report"

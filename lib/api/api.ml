@@ -404,8 +404,6 @@ let detail_of_fate : Provenance.fate -> fate_detail = function
   | Over_downtime_budget { excess } -> Number_detail (Duration.minutes excess)
   | Over_cost_cap { excess } -> Number_detail (Money.to_float excess)
   | Rejected_by_model { reason } -> Text_detail reason
-  | Pruned_by_bound { certificate } ->
-      Text_detail (Aved_check.Certificate.summary certificate)
 
 let runner_up_of_explain (r : Explain.runner_up) =
   {

@@ -4,10 +4,9 @@
     in outward-rounded interval arithmetic, with every mechanism setting
     left free: the returned interval brackets the downtime fraction of
     every concrete design with the same resource counts, across the
-    whole mechanism-settings grid. The search uses it to prune
-    provably-dominated or provably-over-budget candidates; `aved check
-    --bounds` uses the region analysis to certify a budget infeasible or
-    trivially satisfiable before any search runs.
+    whole mechanism-settings grid. `aved check --bounds` uses the region
+    analysis to certify a budget infeasible or trivially satisfiable
+    before any search runs. The search does not consult it.
 
     The analysis assumes spare resources are inactive (the search
     default). Callers exploring spare-active modes must not consult
@@ -31,12 +30,6 @@ val downtime_interval :
   analyzer -> n_active:int -> n_min:int -> n_spare:int -> Interval.t
 (** Bounds the concrete [downtime_fraction] of every design with these
     counts, over all mechanism settings. Cached per analyzer. *)
-
-val design_label : n_active:int -> n_min:int -> n_spare:int -> string
-(** ["n=2 m=1 s=1"]-style label used in certificate facts. *)
-
-val class_facts : analyzer -> spares:bool -> Certificate.fact list
-(** Per-failure-class rate and outage facts backing a certificate. *)
 
 val mttr_corner_settings :
   infra:Aved_model.Infrastructure.t ->

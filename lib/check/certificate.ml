@@ -5,14 +5,12 @@
    arithmetic, and a consumer who trusts nothing can re-validate each
    fact against concrete evaluation through the [check_fact] callback
    of [verify]. Downtime values are fractions of a year; rates are per
-   hour; outages are seconds; costs are per-year money as floats. *)
+   hour; outages are seconds. *)
 
 type fact =
   | Class_rate of { label : string; per_hour : Interval.t }
   | Class_outage of { label : string; seconds : Interval.t }
   | Downtime_bound of { design : string; fraction : Interval.t }
-  | Witness_downtime of { design : string; fraction : float; cost : float }
-  | Ideal_time of { design : string; hours : float }
   | Budget of { fraction : float }
   | Region of { description : string }
 
@@ -28,21 +26,6 @@ type conclusion =
       resource : string;
       budget_fraction : float;
       worst_case_fraction : float;
-    }
-  | Dominated of {
-      design : string;
-      witness : string;
-      cost : float;
-      witness_cost : float;
-      downtime_lower_bound : float;
-      witness_downtime : float;
-    }
-  | Exceeds_time_budget of {
-      design : string;
-      max_hours : float;
-      ideal_hours : float;
-      availability_upper : float;
-      lower_bound_hours : float;
     }
 
 type t = { conclusion : conclusion; facts : fact list }
@@ -81,45 +64,6 @@ let verify ?(check_fact = fun (_ : fact) -> true) t =
            (fun iv -> Interval.hi iv <= worst_case_fraction)
            bounds
       && worst_case_fraction <= budget_fraction
-  | Dominated
-      { design; witness; cost; witness_cost; downtime_lower_bound;
-        witness_downtime } ->
-      List.exists
-        (function
-          | Witness_downtime w ->
-              w.design = witness
-              && w.fraction = witness_downtime
-              && w.cost = witness_cost
-          | _ -> false)
-        t.facts
-      && List.exists
-           (function
-             | Downtime_bound b ->
-                 b.design = design && Interval.lo b.fraction >= downtime_lower_bound
-             | _ -> false)
-           t.facts
-      && witness_cost <= cost
-      && witness_downtime < downtime_lower_bound
-  | Exceeds_time_budget
-      { design; max_hours; ideal_hours; availability_upper; lower_bound_hours }
-    ->
-      (* Expected completion is at least the failure-free time divided
-         by the best possible availability. *)
-      List.exists
-        (function
-          | Ideal_time i -> i.design = design && i.hours = ideal_hours
-          | _ -> false)
-        t.facts
-      && List.exists
-           (function
-             | Downtime_bound b ->
-                 b.design = design
-                 && availability_upper >= 1. -. Interval.lo b.fraction
-             | _ -> false)
-           t.facts
-      && availability_upper > 0.
-      && lower_bound_hours <= ideal_hours /. availability_upper
-      && lower_bound_hours > max_hours
 
 let minutes_per_year fraction = fraction *. 365. *. 24. *. 60.
 
@@ -140,17 +84,6 @@ let summary t =
         tier resource
         (minutes_per_year budget_fraction)
         (minutes_per_year worst_case_fraction)
-  | Dominated { witness; downtime_lower_bound; witness_downtime; _ } ->
-      Printf.sprintf
-        "dominated by %s: downtime >= %.3f min/yr vs witness %.3f min/yr at \
-         no lower cost"
-        witness
-        (minutes_per_year downtime_lower_bound)
-        (minutes_per_year witness_downtime)
-  | Exceeds_time_budget { max_hours; lower_bound_hours; _ } ->
-      Printf.sprintf
-        "completion time provably exceeds the %.2f h budget: at least %.2f h"
-        max_hours lower_bound_hours
 
 (* JSON rendering, by hand like [Diagnostic.to_json]. Infinite interval
    endpoints become the strings "inf"/"-inf" (JSON has no literal for
@@ -193,15 +126,6 @@ let fact_to_json = function
       Printf.sprintf
         "{\"fact\":\"downtime_bound\",\"design\":\"%s\",\"fraction\":%s}"
         (escape design) (json_interval fraction)
-  | Witness_downtime { design; fraction; cost } ->
-      Printf.sprintf
-        "{\"fact\":\"witness_downtime\",\"design\":\"%s\",\"fraction\":%s,\
-         \"cost\":%s}"
-        (escape design) (json_float fraction) (json_float cost)
-  | Ideal_time { design; hours } ->
-      Printf.sprintf
-        "{\"fact\":\"ideal_time\",\"design\":\"%s\",\"hours\":%s}"
-        (escape design) (json_float hours)
   | Budget { fraction } ->
       Printf.sprintf "{\"fact\":\"budget\",\"fraction\":%s}"
         (json_float fraction)
@@ -226,27 +150,6 @@ let conclusion_to_json = function
         (escape tier) (escape resource)
         (json_float budget_fraction)
         (json_float worst_case_fraction)
-  | Dominated
-      { design; witness; cost; witness_cost; downtime_lower_bound;
-        witness_downtime } ->
-      Printf.sprintf
-        "{\"kind\":\"dominated\",\"design\":\"%s\",\"witness\":\"%s\",\
-         \"cost\":%s,\"witness_cost\":%s,\"downtime_lower_bound\":%s,\
-         \"witness_downtime\":%s}"
-        (escape design) (escape witness) (json_float cost)
-        (json_float witness_cost)
-        (json_float downtime_lower_bound)
-        (json_float witness_downtime)
-  | Exceeds_time_budget
-      { design; max_hours; ideal_hours; availability_upper; lower_bound_hours }
-    ->
-      Printf.sprintf
-        "{\"kind\":\"exceeds_time_budget\",\"design\":\"%s\",\
-         \"max_hours\":%s,\"ideal_hours\":%s,\"availability_upper\":%s,\
-         \"lower_bound_hours\":%s}"
-        (escape design) (json_float max_hours) (json_float ideal_hours)
-        (json_float availability_upper)
-        (json_float lower_bound_hours)
 
 let to_json t =
   Printf.sprintf "{\"conclusion\":%s,\"facts\":[%s]}"

@@ -4,15 +4,15 @@
     on. {!verify} re-checks the numeric implication from facts to
     conclusion; the [check_fact] callback lets a consumer re-ground
     every fact against concrete evaluation (the soundness tests do).
+    Conclusions are region verdicts of [aved check --bounds]: a budget
+    is infeasible or trivially satisfiable for a (tier, option).
     Units: downtime and budget values are fractions of a year, rates
-    are per hour, outages are seconds, costs are per-year money. *)
+    are per hour, outages are seconds. *)
 
 type fact =
   | Class_rate of { label : string; per_hour : Interval.t }
   | Class_outage of { label : string; seconds : Interval.t }
   | Downtime_bound of { design : string; fraction : Interval.t }
-  | Witness_downtime of { design : string; fraction : float; cost : float }
-  | Ideal_time of { design : string; hours : float }
   | Budget of { fraction : float }
   | Region of { description : string }
 
@@ -29,23 +29,6 @@ type conclusion =
       budget_fraction : float;
       worst_case_fraction : float;
     }
-  | Dominated of {
-      design : string;
-      witness : string;
-      cost : float;
-      witness_cost : float;
-      downtime_lower_bound : float;
-      witness_downtime : float;
-    }
-  | Exceeds_time_budget of {
-      design : string;
-      max_hours : float;
-      ideal_hours : float;
-      availability_upper : float;
-      lower_bound_hours : float;
-    }
-      (** Job searches: the expected completion time is at least
-          [ideal_hours / availability_upper > max_hours]. *)
 
 type t = { conclusion : conclusion; facts : fact list }
 

@@ -145,8 +145,6 @@ let fate_sentence (r : Provenance.record) =
   | Over_cost_cap { excess } ->
       "over cost cap by " ^ Money.to_string excess ^ "/yr"
   | Rejected_by_model { reason } -> "rejected: " ^ reason
-  | Pruned_by_bound { certificate } ->
-      "pruned by bound: " ^ Aved_check.Certificate.summary certificate
 
 (* Availability implied by a downtime fraction, as nines. *)
 let nines_of_fraction f =
@@ -244,8 +242,6 @@ let fate_detail : Provenance.fate -> Json.t = function
   | Over_downtime_budget { excess } -> Json.Float (Duration.minutes excess)
   | Over_cost_cap { excess } -> Json.Float (Money.to_float excess)
   | Rejected_by_model { reason } -> Json.String reason
-  | Pruned_by_bound { certificate } ->
-      Json.String (Aved_check.Certificate.summary certificate)
 
 let runner_up_to_json r =
   Json.Obj

@@ -92,13 +92,12 @@ let feasible_splits config ~(option : Model.Service.resource_option)
    faster completion deterministically. *)
 let eval_settings_fold config ~tier_name
     ~(option : Model.Service.resource_option) ~job_size ~splits ?cost_cap
-    ?prune ~emit (settings, base_entry) =
+    ~emit (settings, base_entry) =
   let min_cost = ref None in
   let generated = ref 0
   and evaluated = ref 0
   and pruned = ref 0
-  and rejected = ref 0
-  and bound_pruned = ref 0 in
+  and rejected = ref 0 in
   List.iter
     (fun (n_active, n_spare) ->
       List.iter
@@ -135,44 +134,24 @@ let eval_settings_fold config ~tier_name
                 let model =
                   Eval_cache.model entry ~n_active ~n_spare ~demand:None
                 in
-                let verdict =
-                  match prune with
-                  | None -> None
-                  | Some (p : Bound_pruning.prune) -> p ~design ~cost ~model
+                let execution_time =
+                  match config.Search_config.engine with
+                  | Avail.Evaluate.Analytic ->
+                      let downtime_fraction =
+                        Eval_cache.downtime_fraction entry
+                          config.Search_config.engine model
+                      in
+                      Avail.Evaluate.job_completion_time_of ~downtime_fraction
+                        model ~job_size
+                  | Avail.Evaluate.Exact _ | Avail.Evaluate.Monte_carlo _ ->
+                      Avail.Evaluate.job_completion_time
+                        config.Search_config.engine model ~job_size
                 in
-                match verdict with
-                | Some certificate -> `Pruned certificate
-                | None ->
-                    let execution_time =
-                      match config.Search_config.engine with
-                      | Avail.Evaluate.Analytic ->
-                          let downtime_fraction =
-                            Eval_cache.downtime_fraction entry
-                              config.Search_config.engine model
-                          in
-                          Avail.Evaluate.job_completion_time_of
-                            ~downtime_fraction model ~job_size
-                      | Avail.Evaluate.Exact _ | Avail.Evaluate.Monte_carlo _
-                        ->
-                          Avail.Evaluate.job_completion_time
-                            config.Search_config.engine model ~job_size
-                    in
-                    `Candidate { design; model; cost; execution_time }
+                { design; model; cost; execution_time }
               with
-              | `Candidate candidate ->
+              | candidate ->
                   incr evaluated;
                   emit candidate
-              | `Pruned certificate ->
-                  incr bound_pruned;
-                  Provenance.note (fun () ->
-                      {
-                        Provenance.tier = tier_name;
-                        design;
-                        cost;
-                        downtime = None;
-                        execution_time = None;
-                        fate = Pruned_by_bound { certificate = certificate () };
-                      })
               | exception Avail.Tier_model.Rejected reason ->
                   incr rejected;
                   Provenance.note (fun () ->
@@ -189,15 +168,13 @@ let eval_settings_fold config ~tier_name
          else Eval_cache.spare_entries base_entry))
     splits;
   Search_metrics.flush ~tier_name ~generated:!generated ~evaluated:!evaluated
-    ~pruned:!pruned ~rejected:!rejected ~bound_pruned:!bound_pruned ();
+    ~pruned:!pruned ~rejected:!rejected;
   !min_cost
 
-let eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap ?prune
-    pair =
+let eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap pair =
   let candidates = ref [] in
   let min_cost =
     eval_settings_fold config ~tier_name ~option ~job_size ~splits ?cost_cap
-      ?prune
       ~emit:(fun candidate -> candidates := candidate :: !candidates)
       pair
   in
@@ -210,14 +187,13 @@ let eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap ?prune
    settings index, keeping the candidate order deterministic. *)
 let enumerate_and_min ?pool config infra ~tier_name
     ~(option : Model.Service.resource_option) ~job_size ~max_time ~total
-    ?cost_cap ?prune () =
+    ?cost_cap () =
   let splits = feasible_splits config ~option ~job_size ~max_time ~total in
   if splits = [] then ([], None)
   else begin
   let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
   let eval pair =
-    eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap ?prune
-      pair
+    eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap pair
   in
   let per_settings =
     match pool with
@@ -246,10 +222,10 @@ let enumerate_and_min ?pool config infra ~tier_name
   end
 
 let enumerate_total ?pool config infra ~tier_name ~option ~job_size ~max_time
-    ~total ?cost_cap ?prune () =
+    ~total ?cost_cap () =
   fst
     (enumerate_and_min ?pool config infra ~tier_name ~option ~job_size
-       ~max_time ~total ?cost_cap ?prune ())
+       ~max_time ~total ?cost_cap ())
 
 (* As {!enumerate_and_min}, but reduced on the fly to what the optimal
    search consumes — the best feasible candidate, the fastest execution
@@ -261,7 +237,7 @@ let enumerate_total ?pool config infra ~tier_name ~option ~job_size ~max_time
    explain path wants the full lists. *)
 let enumerate_reduced ?pool config infra ~tier_name
     ~(option : Model.Service.resource_option) ~job_size ~max_time ~total
-    ?cost_cap ?prune () =
+    ?cost_cap () =
   let splits = feasible_splits config ~option ~job_size ~max_time ~total in
   if splits = [] then (None, Float.infinity, None)
   else begin
@@ -279,7 +255,7 @@ let enumerate_reduced ?pool config infra ~tier_name
       in
       let min_cost =
         eval_settings_fold config ~tier_name ~option ~job_size ~splits
-          ?cost_cap ?prune ~emit pair
+          ?cost_cap ~emit pair
       in
       (!best, !min_time, min_cost)
     in
@@ -340,10 +316,6 @@ let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
   | None -> None
   | Some start ->
       let limit = option_limit config option in
-      let bound_analyzer =
-        Bound_pruning.analyzer config ~infra ~tier_name ~option
-      in
-      let max_time_hours = Duration.hours max_time in
       let best = ref None in
       let previous_best_time = ref Float.infinity in
       let degradations = ref 0 in
@@ -368,22 +340,11 @@ let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
                     else cap
                 | None -> cap)
         in
-        (* Time-budget pruning only in iterations that START with an
-           incumbent: the no-incumbent stopping rule keys on the best
-           execution time over ALL candidates, which pruning would
-           perturb; with an incumbent, stopping uses only
-           [min_cost_all], which counts pruned designs too. *)
-        let prune =
-          match (bound_analyzer, !best) with
-          | Some an, Some _ ->
-              Some (Bound_pruning.job_time_prune an ~job_size ~max_time_hours)
-          | _ -> None
-        in
         let candidates, min_time_all, min_cost_all =
           if Provenance.enabled () then
             let candidates, min_cost_all =
               enumerate_and_min ?pool config infra ~tier_name ~option
-                ~job_size ~max_time ~total:!total ?cost_cap ?prune ()
+                ~job_size ~max_time ~total:!total ?cost_cap ()
             in
             let min_time_all =
               List.fold_left
@@ -395,7 +356,7 @@ let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
           else
             let best_here, min_time_all, min_cost_all =
               enumerate_reduced ?pool config infra ~tier_name ~option
-                ~job_size ~max_time ~total:!total ?cost_cap ?prune ()
+                ~job_size ~max_time ~total:!total ?cost_cap ()
             in
             ( (match best_here with Some c -> [ c ] | None -> []),
               min_time_all,

@@ -8,7 +8,6 @@ type fate =
   | Over_downtime_budget of { excess : Duration.t }
   | Over_cost_cap of { excess : Money.t }
   | Rejected_by_model of { reason : string }
-  | Pruned_by_bound of { certificate : Aved_check.Certificate.t }
 
 type record = {
   tier : string;
@@ -58,11 +57,10 @@ let fate_index = function
   | Over_downtime_budget _ -> 2
   | Over_cost_cap _ -> 3
   | Rejected_by_model _ -> 4
-  | Pruned_by_bound _ -> 5
 
 let fate_labels =
   [| "incumbent"; "dominated"; "over_downtime_budget"; "over_cost_cap";
-     "rejected_by_model"; "pruned_by_bound" |]
+     "rejected_by_model" |]
 
 let fate_label fate = fate_labels.(fate_index fate)
 let records_noted = Telemetry.Counter.make "explain.records.noted"

@@ -37,11 +37,6 @@ type fate =
       (** The model layer rejected the design
           ({!Aved_avail.Tier_model.Rejected}): it cannot deliver the
           required throughput. *)
-  | Pruned_by_bound of { certificate : Aved_check.Certificate.t }
-      (** Skipped without availability evaluation because the interval
-          bounds analysis proved it cannot win — over the budget, or
-          dominated by a cheaper evaluated witness. The certificate
-          carries the proof ({!Aved_check.Certificate.verify}). *)
 
 type record = {
   tier : string;

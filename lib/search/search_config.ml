@@ -4,7 +4,6 @@ type t = {
   max_spares : int;
   max_total_resources : int;
   explore_spare_modes : bool;
-  prune_bounds : bool;
   jobs : int;
 }
 
@@ -15,12 +14,10 @@ let default =
     max_spares = 3;
     max_total_resources = 2000;
     explore_spare_modes = false;
-    prune_bounds = false;
     jobs = 1;
   }
 
 let with_engine engine t = { t with engine }
-let with_prune_bounds prune_bounds t = { t with prune_bounds }
 
 let with_jobs jobs t =
   if jobs < 1 then invalid_arg "Search_config.with_jobs: jobs must be >= 1";

@@ -16,22 +16,6 @@ let candidates_pruned =
 let candidates_rejected =
   Telemetry.Counter.make "search.candidates.rejected_by_model"
 
-let candidates_bound_pruned =
-  Telemetry.Counter.make "search.candidates.pruned_by_bound"
-
-(* Always-on tallies, independent of the telemetry registry: the
-   differential tests assert the pruning rate of a whole figure run
-   without installing telemetry. Atomics because flushes arrive from
-   pool workers. *)
-let generated_total = Atomic.make 0
-let bound_pruned_total = Atomic.make 0
-let generated_count () = Atomic.get generated_total
-let bound_pruned_count () = Atomic.get bound_pruned_total
-
-let reset_counts () =
-  Atomic.set generated_total 0;
-  Atomic.set bound_pruned_total 0
-
 let options_searched = Telemetry.Counter.make "search.options.searched"
 let totals_scanned = Telemetry.Counter.make "search.totals.scanned"
 
@@ -52,7 +36,6 @@ type tier_counters = {
   tc_evaluated : Telemetry.Counter.h;
   tc_pruned : Telemetry.Counter.h;
   tc_rejected : Telemetry.Counter.h;
-  tc_bound_pruned : Telemetry.Counter.h;
 }
 
 let tier_counters_key : (string, tier_counters) Hashtbl.t Domain.DLS.key =
@@ -73,7 +56,6 @@ let tier_counters tier_name =
           tc_evaluated = make "evaluated";
           tc_pruned = make "pruned_by_incumbent";
           tc_rejected = make "rejected_by_model";
-          tc_bound_pruned = make "pruned_by_bound";
         }
       in
       Hashtbl.add table tier_name counters;
@@ -81,11 +63,7 @@ let tier_counters tier_name =
 
 (* Flush one enumeration batch into the global counters and their
    per-tier variants. *)
-let flush ~tier_name ~generated ~evaluated ~pruned ~rejected
-    ?(bound_pruned = 0) () =
-  if generated > 0 then ignore (Atomic.fetch_and_add generated_total generated);
-  if bound_pruned > 0 then
-    ignore (Atomic.fetch_and_add bound_pruned_total bound_pruned);
+let flush ~tier_name ~generated ~evaluated ~pruned ~rejected =
   if Telemetry.enabled () then begin
     let tier = tier_counters tier_name in
     let batch counter tier_counter v =
@@ -97,8 +75,7 @@ let flush ~tier_name ~generated ~evaluated ~pruned ~rejected
     batch candidates_generated tier.tc_generated generated;
     batch candidates_evaluated tier.tc_evaluated evaluated;
     batch candidates_pruned tier.tc_pruned pruned;
-    batch candidates_rejected tier.tc_rejected rejected;
-    batch candidates_bound_pruned tier.tc_bound_pruned bound_pruned
+    batch candidates_rejected tier.tc_rejected rejected
   end
 
 let observe_frontier size =

@@ -19,20 +19,6 @@ val candidates_pruned : Telemetry.Counter.h
 val candidates_rejected : Telemetry.Counter.h
 (** Designs the model builder rejected as structurally invalid. *)
 
-val candidates_bound_pruned : Telemetry.Counter.h
-(** Designs skipped by the interval bounds analysis with a
-    certificate. *)
-
-val generated_count : unit -> int
-(** Designs constructed since the last {!reset_counts}, tallied whether
-    or not telemetry is installed. *)
-
-val bound_pruned_count : unit -> int
-(** Designs pruned by bounds since the last {!reset_counts}, tallied
-    whether or not telemetry is installed. *)
-
-val reset_counts : unit -> unit
-
 val options_searched : Telemetry.Counter.h
 val totals_scanned : Telemetry.Counter.h
 
@@ -49,14 +35,10 @@ val flush :
   evaluated:int ->
   pruned:int ->
   rejected:int ->
-  ?bound_pruned:int ->
-  unit ->
   unit
 (** Add one enumeration batch to the global counters and their
-    per-tier ["search.candidates.<tag>[<tier>]"] variants. The
-    telemetry side is a no-op when telemetry is disabled; the always-on
-    {!generated_count}/{!bound_pruned_count} tallies update
-    regardless. *)
+    per-tier ["search.candidates.<tag>[<tier>]"] variants. A no-op
+    when telemetry is disabled. *)
 
 val observe_frontier : int -> unit
 (** Record one computed frontier and its size. *)

@@ -40,7 +40,7 @@ let spare_mode_entries config base_entry ~n_spare =
    availability evaluation; equal cost is kept so ties can be broken
    toward lower downtime deterministically. *)
 let eval_settings config _infra ~tier_name
-    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap ?prune
+    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap
     (settings, base_entry) =
   match Eval_cache.minimum_actives base_entry ~demand with
   | None -> ([], None)
@@ -50,8 +50,7 @@ let eval_settings config _infra ~tier_name
       let generated = ref 0
       and evaluated = ref 0
       and pruned = ref 0
-      and rejected = ref 0
-      and bound_pruned = ref 0 in
+      and rejected = ref 0 in
       (* The admissible window of the combination: at least the
          minimum that meets the demand and at most max_extra_resources
          more, leaving at most max_spares of [total] as spares. *)
@@ -96,37 +95,15 @@ let eval_settings config _infra ~tier_name
                       Eval_cache.model entry ~n_active ~n_spare
                         ~demand:(Some demand)
                     in
-                    let verdict =
-                      match prune with
-                      | None -> None
-                      | Some (p : Bound_pruning.prune) ->
-                          p ~design ~cost ~model
+                    let downtime_fraction =
+                      Eval_cache.downtime_fraction entry
+                        config.Search_config.engine model
                     in
-                    match verdict with
-                    | Some certificate -> `Pruned certificate
-                    | None ->
-                        let downtime_fraction =
-                          Eval_cache.downtime_fraction entry
-                            config.Search_config.engine model
-                        in
-                        `Candidate
-                          { Candidate.design; model; cost; downtime_fraction }
+                    { Candidate.design; model; cost; downtime_fraction }
                   with
-                  | `Candidate candidate ->
+                  | candidate ->
                       incr evaluated;
                       candidates := candidate :: !candidates
-                  | `Pruned certificate ->
-                      incr bound_pruned;
-                      Provenance.note (fun () ->
-                          {
-                            Provenance.tier = tier_name;
-                            design;
-                            cost;
-                            downtime = None;
-                            execution_time = None;
-                            fate =
-                              Pruned_by_bound { certificate = certificate () };
-                          })
                   | exception Avail.Tier_model.Rejected reason ->
                       incr rejected;
                       Provenance.note (fun () ->
@@ -141,8 +118,7 @@ let eval_settings config _infra ~tier_name
             (spare_mode_entries config base_entry ~n_spare))
         n_values;
       Search_metrics.flush ~tier_name ~generated:!generated
-        ~evaluated:!evaluated ~pruned:!pruned ~rejected:!rejected
-        ~bound_pruned:!bound_pruned ();
+        ~evaluated:!evaluated ~pruned:!pruned ~rejected:!rejected;
       (List.rev !candidates, !min_cost)
 
 (* All designs of one option at one total, fanned out over the
@@ -150,12 +126,11 @@ let eval_settings config _infra ~tier_name
    by settings index, so the candidate list is identical to the
    sequential enumeration. *)
 let enumerate_and_min ?pool config infra ~tier_name
-    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap ?prune
-    () =
+    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap () =
   let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
   let eval pair =
     eval_settings config infra ~tier_name ~option ~demand ~total ?cost_cap
-      ?prune pair
+      pair
   in
   let per_settings =
     match pool with
@@ -183,11 +158,10 @@ let enumerate_and_min ?pool config infra ~tier_name
   (candidates, min_cost)
 
 let enumerate_total config infra ~tier_name
-    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap ?prune
-    () =
+    ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap () =
   fst
     (enumerate_and_min config infra ~tier_name ~option ~demand ~total
-       ?cost_cap ?prune ())
+       ?cost_cap ())
 
 let option_minimum ~option ~settings ~demand =
   List.filter_map
@@ -229,9 +203,6 @@ let search_option ?pool ?shared config infra ~tier_name
   | Some start ->
       let limit = max_total_for config start in
       let max_downtime_fraction = Duration.years max_downtime in
-      let bound_analyzer =
-        Bound_pruning.analyzer config ~infra ~tier_name ~option
-      in
       let best = ref None in
       let previous_best_downtime = ref Float.infinity in
       let degradations = ref 0 in
@@ -256,22 +227,9 @@ let search_option ?pool ?shared config infra ~tier_name
                     else cap
                 | None -> cap)
         in
-        (* Budget pruning only in iterations that START with an
-           incumbent: the no-incumbent stopping rule below folds the
-           best downtime over ALL candidates of the iteration, which
-           pruning would perturb; with an incumbent, stopping depends
-           only on [min_cost_all], which counts pruned designs too. *)
-        let prune =
-          match (bound_analyzer, !best) with
-          | Some an, Some _ ->
-              Some
-                (Bound_pruning.downtime_budget_prune an
-                   ~resource:option.resource ~max_downtime_fraction)
-          | _ -> None
-        in
         let candidates, min_cost_all =
           enumerate_and_min ?pool config infra ~tier_name ~option ~demand
-            ~total:!total ?cost_cap ?prune ()
+            ~total:!total ?cost_cap ()
         in
         let feasible =
           List.filter
@@ -408,17 +366,8 @@ let frontier ?pool config infra ~(tier : Model.Service.tier) ~demand =
   let results =
     Pool.map pool
       (fun (option, total) ->
-        (* Witness pruning is task-local: the witnesses are candidates
-           of this task (one per active/spare split) and every pruned
-           design is strictly Pareto-dominated by a witness that
-           survives, so the merged frontier is identical to the
-           unpruned one (see Bound_pruning.frontier_witness). *)
-        let prune =
-          Bound_pruning.frontier_witness config infra
-            ~tier_name:tier.tier_name ~option ~demand ~total
-        in
         enumerate_total config infra ~tier_name:tier.tier_name ~option
-          ~demand ~total ?prune ())
+          ~demand ~total ())
       tasks
   in
   let pareto = Candidate.pareto (List.concat results) in

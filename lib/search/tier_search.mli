@@ -37,16 +37,13 @@ val enumerate_total :
   demand:float ->
   total:int ->
   ?cost_cap:Money.t ->
-  ?prune:Bound_pruning.prune ->
   unit ->
   Candidate.t list
 (** All evaluated candidates for one resource option using exactly
     [total] resources. Designs whose cost exceeds [cost_cap] are
     skipped without availability evaluation (equal cost is kept, so
-    ties can still resolve toward lower downtime); designs [prune]
-    certifies as unable to win are skipped likewise, each noted with
-    its certificate. Respects the config caps (spares, extras, spare
-    modes). *)
+    ties can still resolve toward lower downtime). Respects the config
+    caps (spares, extras, spare modes). *)
 
 val option_minimum :
   option:Aved_model.Service.resource_option ->

@@ -1,13 +1,13 @@
-(* Soundness of the abstract-interpretation layer and of the pruning
-   built on it.
+(* Soundness of the abstract-interpretation layer behind
+   `aved check --bounds`.
 
    Three layers of property tests: interval arithmetic contains the
    concrete operation, abstract expression evaluation contains concrete
    evaluation, and the whole-domain downtime bounds contain the
    analytic engine's result for every concrete design and settings
-   assignment. On top of those, differential tests pin the contract
-   that makes --prune-bounds safe to ship: the pruned search returns
-   byte-identical figures, while actually pruning work. *)
+   assignment. On top of those, the region verdicts the checker reports
+   (a budget infeasible or trivially satisfiable) carry certificates
+   that re-verify on their own. *)
 
 module Duration = Aved_units.Duration
 module Expr = Aved_expr.Expr
@@ -18,11 +18,7 @@ module Certificate = Aved_check.Certificate
 module Model = Aved_model
 module Mechanism = Aved_model.Mechanism
 module Tier_model = Aved_avail.Tier_model
-module Search_config = Aved_search.Search_config
-module Search_metrics = Aved_search.Search_metrics
-module Provenance = Aved_search.Provenance
 module Experiments = Aved.Experiments
-module Figures = Aved.Figures
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -321,144 +317,6 @@ let test_region_certificates () =
         (Certificate.verify c)
   | _ -> Alcotest.fail "a 1M min/yr budget should be trivially satisfiable"
 
-let test_prune_certificates_verify () =
-  (* Every certificate attached to a Pruned_by_bound fate must
-     re-verify: the proof object is only worth shipping if it stands
-     on its own. *)
-  let infra = Experiments.infrastructure () in
-  let tier = Experiments.application_tier () in
-  let config =
-    Search_config.default |> Search_config.with_prune_bounds true
-  in
-  let trail = Provenance.create ~capacity:4096 () in
-  let result =
-    Provenance.with_trail trail @@ fun () ->
-    Aved_search.Tier_search.optimal config infra ~tier ~demand:1000.
-      ~max_downtime:(Duration.of_minutes 100.)
-  in
-  Alcotest.(check bool) "search found a design" true (result <> None);
-  let pruned_certs =
-    List.filter_map
-      (fun (r : Provenance.record) ->
-        match r.fate with
-        | Provenance.Pruned_by_bound { certificate } -> Some certificate
-        | _ -> None)
-      (Provenance.records trail ~tier:tier.Model.Service.tier_name)
-  in
-  List.iter
-    (fun c ->
-      if not (Certificate.verify c) then
-        Alcotest.failf "certificate does not verify: %s"
-          (Certificate.summary c))
-    pruned_certs
-
-(* ------------------------------------------------------------------ *)
-(* Differential: --prune-bounds never changes a figure *)
-
-(* (figure, generated, bound_pruned) per pruned run; the prune-rate
-   test at the end asserts the work reduction is real on at least one
-   figure, so the identity tests cannot silently pass because pruning
-   never fired. *)
-let prune_stats : (string * int * int) list ref = ref []
-
-let differential name ~render ~run =
-  let off = run Search_config.default in
-  Search_metrics.reset_counts ();
-  let on =
-    run (Search_config.default |> Search_config.with_prune_bounds true)
-  in
-  let generated = Search_metrics.generated_count () in
-  let pruned = Search_metrics.bound_pruned_count () in
-  prune_stats := (name, generated, pruned) :: !prune_stats;
-  Alcotest.(check string)
-    (Printf.sprintf "%s byte-identical under --prune-bounds" name)
-    (render off) (render on)
-
-let test_fig6_differential () =
-  differential "fig6"
-    ~render:(Format.asprintf "%a" Figures.print_fig6)
-    ~run:(fun config ->
-      Figures.fig6 ~config ~loads:[ 400.; 1000.; 1600.; 3200. ] ())
-
-let test_fig7_differential () =
-  let base = Experiments.fig7_config in
-  let off =
-    Figures.fig7 ~config:base ~requirements_hours:[ 2.; 10.; 100. ] ()
-  in
-  Search_metrics.reset_counts ();
-  let on =
-    Figures.fig7
-      ~config:(Search_config.with_prune_bounds true base)
-      ~requirements_hours:[ 2.; 10.; 100. ] ()
-  in
-  prune_stats :=
-    ("fig7", Search_metrics.generated_count (),
-     Search_metrics.bound_pruned_count ())
-    :: !prune_stats;
-  Alcotest.(check string) "fig7 byte-identical under --prune-bounds"
-    (Format.asprintf "%a" Figures.print_fig7 off)
-    (Format.asprintf "%a" Figures.print_fig7 on)
-
-let test_fig8_differential () =
-  differential "fig8"
-    ~render:(Format.asprintf "%a" Figures.print_fig8)
-    ~run:(fun config ->
-      Figures.fig8 ~config ~loads:[ 400.; 800. ]
-        ~downtimes_minutes:[ 0.5; 5.; 50. ] ())
-
-let test_prune_rate () =
-  let stats = !prune_stats in
-  Alcotest.(check bool) "differential runs recorded" true (stats <> []);
-  List.iter
-    (fun (name, generated, pruned) ->
-      Printf.printf "%s: generated %d, pruned by bound %d (%.2f%%)\n" name
-        generated pruned
-        (100. *. float_of_int pruned /. float_of_int (max 1 generated)))
-    stats;
-  let fires =
-    List.exists
-      (fun (_, generated, pruned) ->
-        generated > 0
-        && float_of_int pruned >= 0.01 *. float_of_int generated)
-      stats
-  in
-  Alcotest.(check bool) "bound pruning skips >= 1% on some figure" true
-    fires
-
-(* Random requirements over the paper's tier: pruned and unpruned
-   searches agree on the optimum everywhere, not just at the figures'
-   grid points. *)
-let optimal_differential =
-  let open QCheck2 in
-  let infra = Experiments.infrastructure () in
-  let tier = Experiments.application_tier () in
-  Test.make ~name:"pruned tier search returns the identical optimum"
-    ~count:12
-    Gen.(pair (float_range 200. 3000.) (float_range 1. 300.))
-    (fun (demand, budget_minutes) ->
-      let max_downtime = Duration.of_minutes budget_minutes in
-      let run config =
-        Aved_search.Tier_search.optimal config infra ~tier ~demand
-          ~max_downtime
-      in
-      let describe = function
-        | None -> "infeasible"
-        | Some (c : Aved_search.Candidate.t) ->
-            Format.asprintf "%s %.9f %s"
-              (Provenance.describe c.design)
-              (Duration.minutes (Aved_search.Candidate.downtime c))
-              (Aved_units.Money.to_string c.cost)
-      in
-      let off = describe (run Search_config.default) in
-      let on =
-        describe
-          (run (Search_config.with_prune_bounds true Search_config.default))
-      in
-      String.equal off on
-      || QCheck2.Test.fail_reportf
-           "demand %g budget %g min: unpruned %s vs pruned %s" demand
-           budget_minutes off on)
-
 (* The shrunk counterexample [if min(sqrt(-100), -100) <= c then ...]:
    sqrt of a negative is NaN, and NaN passes through min, so the
    abstract min must keep the NaN-admitting [top] rather than bound it
@@ -495,18 +353,5 @@ let () =
         [
           Alcotest.test_case "region verdicts verify" `Quick
             test_region_certificates;
-          Alcotest.test_case "prune certificates verify" `Quick
-            test_prune_certificates_verify;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "fig6 identical under pruning" `Slow
-            test_fig6_differential;
-          Alcotest.test_case "fig7 identical under pruning" `Slow
-            test_fig7_differential;
-          Alcotest.test_case "fig8 identical under pruning" `Slow
-            test_fig8_differential;
-          Alcotest.test_case "pruning removes work" `Slow test_prune_rate;
-          qtest optimal_differential;
         ] );
     ]

@@ -109,19 +109,6 @@ let test_fate_labels () =
         Over_downtime_budget { excess = Duration.zero };
         Over_cost_cap { excess = Money.zero };
         Rejected_by_model { reason = "r" };
-        Pruned_by_bound
-          {
-            certificate =
-              Aved_check.Certificate.make
-                (Aved_check.Certificate.Infeasible
-                   {
-                     tier = "t";
-                     resource = "r";
-                     budget_fraction = 1e-6;
-                     best_case_fraction = 1e-3;
-                   })
-                [];
-          };
       ]
   in
   Alcotest.(check (list string))
@@ -132,7 +119,6 @@ let test_fate_labels () =
       "over_downtime_budget";
       "over_cost_cap";
       "rejected_by_model";
-      "pruned_by_bound";
     ]
     labels
 
