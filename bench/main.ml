@@ -21,13 +21,14 @@ let section title =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable search benchmark (dune exec bench/main.exe -- json)
 
-   One telemetry-instrumented run per figure kernel, and one of the
-   engine cross-check ("validate"), written to BENCH_search.json
-   (schema_version 4) for CI artifact upload and regression tracking. The first recorded run's per-figure wall times
-   are carried forward verbatim as the "baseline" object on every
-   subsequent run — a v1 file's "figures" array is adopted as the
-   baseline — so the reported speedup is always against the pre-change
-   code, not against the previous rerun. *)
+   One telemetry-instrumented run per figure kernel, one of the engine
+   cross-check ("validate") and one of the e-commerce service designs
+   ("enterprise"), written to BENCH_search.json (schema_version 5) for
+   CI artifact upload and regression tracking. The first recorded
+   run's per-figure wall times are carried forward verbatim as the
+   "baseline" object on every subsequent run — a v1 file's "figures"
+   array is adopted as the baseline — so the reported speedup is always
+   against the pre-change code, not against the previous rerun. *)
 
 module Json = Aved_explain.Json
 
@@ -103,6 +104,51 @@ let json_validate_benchmark ~jobs =
     (List.length frontier) wall words (counter "sim.events")
     (counter "markov.solver.fallback")
 
+(* Service_search.design on the e-commerce service over a fixed grid
+   of requirements (loads × downtime budgets): the bench that reaches
+   phase 2 of the enterprise search, the frontier combination. The
+   timed pass runs at [jobs] domains; the counts come from a second,
+   one-domain pass with one registry per design, so they repeat
+   exactly. A design reached phase 2 when its combination checked at
+   least one partial combination. *)
+let json_enterprise_benchmark ~jobs ~minor_words =
+  let infra = Aved.Experiments.infrastructure () in
+  let service = Aved.Experiments.ecommerce () in
+  let grid =
+    List.concat_map
+      (fun load ->
+        List.map (fun downtime -> (load, downtime)) [ 5.; 20.; 60.; 200.; 500. ])
+      [ 200.; 400.; 800.; 1600.; 3200. ]
+  in
+  let design jobs (load, downtime) =
+    ignore
+      (Search.Service_search.design
+         (Search.Search_config.with_jobs jobs Search.Search_config.default)
+         infra service
+         (Aved_model.Requirements.enterprise ~throughput:load
+            ~max_annual_downtime:(Duration.of_minutes downtime)))
+  in
+  let words0 = minor_words () in
+  let t0 = Unix.gettimeofday () in
+  List.iter (design jobs) grid;
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = minor_words () -. words0 in
+  let phase2, tested, visited =
+    List.fold_left
+      (fun (phase2, tested, visited) point ->
+        let t = Telemetry.create () in
+        Telemetry.with_registry t (fun () -> design 1 point);
+        let v = Telemetry.Counter.read_by_name t "search.service.combine.visited" in
+        ( (if v > 0 then phase2 + 1 else phase2),
+          tested + Telemetry.Counter.read_by_name t "search.service.combos_tested",
+          visited + v ))
+      (0, 0, 0) grid
+  in
+  Printf.sprintf
+    "{\"designs\": %d, \"wall_seconds\": %.6f, \"minor_words\": %.0f, \
+     \"phase2_designs\": %d, \"combos_tested\": %d, \"combine_visited\": %d}"
+    (List.length grid) wall words phase2 tested visited
+
 let json_search_benchmark () =
   let jobs = Domain.recommended_domain_count () in
   (* Minor words come from [Gc.quick_stat], which sums over every
@@ -157,7 +203,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 4,\n";
+  Buffer.add_string buf "  \"schema_version\": 5,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -201,8 +247,11 @@ let json_search_benchmark () =
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
+  let validate = json_validate_benchmark ~jobs in
+  Buffer.add_string buf (Printf.sprintf "  \"validate\": %s,\n" validate);
   Buffer.add_string buf
-    (Printf.sprintf "  \"validate\": %s\n}\n" (json_validate_benchmark ~jobs));
+    (Printf.sprintf "  \"enterprise\": %s\n}\n"
+       (json_enterprise_benchmark ~jobs ~minor_words));
   let oc = open_out path in
   Buffer.output_buffer oc buf;
   close_out oc;

@@ -6,6 +6,7 @@ module Incumbent = Aved_parallel.Incumbent
 module Telemetry = Aved_telemetry.Telemetry
 
 let combos_tested = Telemetry.Counter.make "search.service.combos_tested"
+let combine_visited = Telemetry.Counter.make "search.service.combine.visited"
 
 type tier_outcome = {
   candidate : Candidate.t;
@@ -44,80 +45,106 @@ let enterprise_report ~service_name candidates =
    arrays. The total order (cost, then lexicographic path) makes the
    selected combination independent of exploration schedule: equal-cost
    combinations always resolve to the smallest path. *)
-let combo_better (cost_a, path_a, _) (cost_b, path_b, _) =
-  match Money.compare cost_a cost_b with
+let combo_better (cost_a, path_a) (cost_b, path_b) =
+  match Float.compare cost_a cost_b with
   | 0 -> List.compare Int.compare path_a path_b < 0
   | c -> c < 0
 
 (* Exact minimum-cost selection of one frontier point per tier subject
-   to the series downtime budget. Frontiers are sorted by increasing
-   cost (hence decreasing downtime), which gives two prunes: partial
-   cost against the incumbent (local best, tightened by the [shared]
-   cost of the best combination found by any branch — equal cost is
-   never pruned, so tie-breaking stays deterministic), and
-   infeasibility even with the lowest-downtime points of the remaining
-   tiers. The top-level fan-out is over the first tier's frontier
-   points; each branch explores depth-first and the branch results are
-   merged under {!combo_better}. *)
+   to the series downtime budget; the three rules that keep it from
+   scanning the product are in the interface. Two facts they rest on:
+   [affordable] sums the cheapest completion in the same left-to-right
+   order as [leaf]'s cost, so under monotone rounding it never exceeds
+   the cost of a combination below; and depth-first order visits a
+   branch's paths in lexicographic order, so a branch keeps its first
+   leaf of least cost, which is why equal cost is never pruned. The
+   top-level fan-out is over the first tier's frontier points; the
+   branch results are merged under {!combo_better}. Checks and leaves
+   are counted in local ints and flushed once per branch. *)
 let combine_frontiers ?pool frontiers ~budget_fraction =
   let arrays = Array.of_list (List.map Array.of_list frontiers) in
   let n = Array.length arrays in
-  (* min_downtimes.(i): over tiers i.. , the product of
-     (1 - best achievable downtime). *)
-  let min_downtimes = Array.make (n + 1) 1. in
-  for i = n - 1 downto 0 do
-    let best =
-      Array.fold_left
-        (fun acc (c : Candidate.t) -> Float.min acc c.Candidate.downtime_fraction)
-        Float.infinity arrays.(i)
-    in
-    min_downtimes.(i) <- (1. -. best) *. min_downtimes.(i + 1)
-  done;
   if n = 0 then if 0. <= budget_fraction then Some [] else None
+  else if Array.exists (fun points -> Array.length points = 0) arrays then None
   else begin
+    (* min_downtimes.(i): over tiers i.. , the product of
+       (1 - best achievable downtime). *)
+    let min_downtimes = Array.make (n + 1) 1. in
+    for i = n - 1 downto 0 do
+      let points = arrays.(i) in
+      let best = points.(Array.length points - 1).Candidate.downtime_fraction in
+      min_downtimes.(i) <- (1. -. best) *. min_downtimes.(i + 1)
+    done;
+    let cheapest =
+      Array.map (fun points -> Money.to_float points.(0).Candidate.cost) arrays
+    in
     let shared = Incumbent.create () in
     let explore_from first_idx =
-      let best = ref None in
-      let rec explore idx chosen_rev path_rev cost_so_far up_so_far =
-        if idx = n then begin
-          Telemetry.Counter.incr combos_tested;
-          if 1. -. up_so_far <= budget_fraction then begin
-            let entry =
-              (cost_so_far, List.rev path_rev, List.rev chosen_rev)
-            in
-            match !best with
-            | Some b when not (combo_better entry b) -> ()
-            | Some _ | None ->
-                best := Some entry;
-                Incumbent.propose shared (Money.to_float cost_so_far)
+      let best_cost = ref Float.infinity and best_path = ref None in
+      let path = Array.make n first_idx in
+      let visited = ref 0 and tested = ref 0 in
+      (* Can a point of tier [idx] that brings the running cost to
+         [cost] still lead to a combination no costlier than the
+         incumbent? *)
+      let affordable idx cost =
+        incr visited;
+        let completion = ref cost in
+        for j = idx + 1 to n - 1 do
+          completion := !completion +. cheapest.(j)
+        done;
+        !completion <= Float.min !best_cost (Incumbent.get shared)
+      in
+      (* Even with the best remaining tiers, can the budget hold? *)
+      let feasible idx up_so_far (c : Candidate.t) =
+        incr visited;
+        1. -. (up_so_far *. (1. -. c.downtime_fraction) *. min_downtimes.(idx + 1))
+        <= budget_fraction
+      in
+      let leaf cost =
+        incr tested;
+        if cost < !best_cost then begin
+          best_cost := cost;
+          best_path := Some (Array.to_list path);
+          Incumbent.propose shared cost
+        end
+      in
+      let rec level idx cost_so_far up_so_far =
+        let points = arrays.(idx) in
+        let len = Array.length points in
+        let cost i = cost_so_far +. Money.to_float points.(i).Candidate.cost in
+        let lo = ref 0 and hi = ref len in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if feasible idx up_so_far points.(mid) then hi := mid
+          else lo := mid + 1
+        done;
+        if idx = n - 1 then begin
+          if !lo < len && affordable idx (cost !lo) then begin
+            path.(idx) <- !lo;
+            leaf (cost !lo)
           end
         end
-        else
-          Array.iteri
-            (fun i (c : Candidate.t) ->
-              let cost = Money.add cost_so_far c.cost in
-              let bound =
-                Float.min
-                  (match !best with
-                  | Some (bc, _, _) -> Money.to_float bc
-                  | None -> Float.infinity)
-                  (Incumbent.get shared)
-              in
-              let up = up_so_far *. (1. -. c.downtime_fraction) in
-              (* Even with the best remaining tiers, can the budget
-                 hold? *)
-              let attainable = up *. min_downtimes.(idx + 1) in
-              if
-                Money.to_float cost <= bound
-                && 1. -. attainable <= budget_fraction
-              then explore (idx + 1) (c :: chosen_rev) (i :: path_rev) cost up)
-            arrays.(idx)
+        else begin
+          let i = ref !lo in
+          while !i < len && affordable idx (cost !i) do
+            let c = points.(!i) in
+            path.(idx) <- !i;
+            level (idx + 1) (cost !i)
+              (up_so_far *. (1. -. c.Candidate.downtime_fraction));
+            incr i
+          done
+        end
       in
       let c = arrays.(0).(first_idx) in
-      let up = 1. -. c.Candidate.downtime_fraction in
-      if 1. -. (up *. min_downtimes.(1)) <= budget_fraction then
-        explore 1 [ c ] [ first_idx ] c.Candidate.cost up;
-      !best
+      let cost = Money.to_float c.Candidate.cost in
+      if affordable 0 cost && feasible 0 1. c then
+        if n = 1 then leaf cost
+        else level 1 cost (1. -. c.Candidate.downtime_fraction);
+      if Telemetry.enabled () then begin
+        Telemetry.Counter.add combine_visited !visited;
+        Telemetry.Counter.add combos_tested !tested
+      end;
+      Option.map (fun path -> (!best_cost, path)) !best_path
     in
     let tasks = List.init (Array.length arrays.(0)) Fun.id in
     let results =
@@ -131,7 +158,8 @@ let combine_frontiers ?pool frontiers ~budget_fraction =
         | None, r | r, None -> r
         | Some a, Some b -> if combo_better b a then Some b else Some a)
       None results
-    |> Option.map (fun (_, _, chosen) -> chosen)
+    |> Option.map (fun (_, path) ->
+           List.mapi (fun idx i -> arrays.(idx).(i)) path)
   end
 
 (* Provenance of the frontier combination: for every tier, each

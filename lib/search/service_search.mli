@@ -9,6 +9,27 @@
     of the paper's "incrementally more aggressive per-tier
     requirements" refinement.
 
+    The combination ({!combine_frontiers}) is output-sensitive: it
+    walks the product of the frontiers depth first, tier by tier, and
+    uses the order every frontier has (cost strictly rising, downtime
+    strictly falling) to scan only the part of each tier that can
+    matter. Three rules, none of which drops a combination that could
+    win:
+    - {b skip the infeasible prefix}: whether the budget still holds
+      with the lowest-downtime points of the remaining tiers is
+      monotone along a tier (float rounding is monotone), so the
+      infeasible points form a prefix, found by bisection;
+    - {b break on cost}: the cheapest completion of a point (running
+      cost plus the cheapest point of every remaining tier, summed in
+      the same left-to-right order as a complete combination's cost,
+      so rounding never lifts it above any combination below) only
+      rises along a tier, while the incumbent it is compared with only
+      falls; the tier stops at the first point whose completion costs
+      strictly more than the incumbent;
+    - {b last tier}: only its first feasible point is tested — it is
+      the cheapest completion and, on an equal float sum, the one with
+      the smallest index.
+
     All phases run on one domain pool of [config.jobs] domains: tier
     searches fan out over tiers (and within them over options and
     mechanism settings), and the frontier combination fans out over the
@@ -49,6 +70,28 @@ val design :
     long-lived caller (the server) passes one pool so repeated designs
     do not pay domain spawn/join per request — otherwise on a fresh
     pool of [config.jobs] domains. *)
+
+val combine_frontiers :
+  ?pool:Aved_parallel.Pool.t ->
+  Candidate.t list list ->
+  budget_fraction:float ->
+  Candidate.t list option
+(** [combine_frontiers frontiers ~budget_fraction] is one point per
+    frontier (in frontier order) whose summed cost is the least among
+    the combinations whose {!series_downtime_fraction} is at most
+    [budget_fraction]; of equal-cost combinations, the one whose
+    frontier-index path is lexicographically smallest. [None] when no
+    combination fits; [Some []] for no frontiers and a non-negative
+    budget. The answer does not depend on [pool] or its size.
+
+    Precondition: every frontier is sorted by strictly increasing cost
+    and strictly decreasing downtime fraction, every fraction between
+    0 and 1 — the order {!Candidate.pareto} returns. On other input
+    the answer is unspecified.
+
+    Counts the partial combinations it checks in
+    [search.service.combine.visited] and the complete ones it tests in
+    [search.service.combos_tested]. *)
 
 val series_downtime_fraction : Candidate.t list -> float
 (** Service downtime fraction of a tier combination (series

@@ -360,30 +360,203 @@ let test_service_job_dispatch () =
           Alcotest.(check bool) "meets deadline" true (Duration.hours t <= 100.)
       | None -> Alcotest.fail "expected execution time")
 
+(* A synthetic tier design with the given cost and downtime fraction. *)
+let synthetic_candidate ?(cost = 0.) fraction =
+  {
+    Candidate.design =
+      Design.tier_design ~tier_name:"t" ~resource:"rC" ~n_active:1 ();
+    model =
+      {
+        Aved_avail.Tier_model.tier_name = "t";
+        n_active = 1;
+        n_min = 1;
+        n_spare = 0;
+        failure_scope = Service.Resource_scope;
+        classes = [];
+        loss_window = None;
+        effective_performance = 1.;
+      };
+    cost = Money.of_float cost;
+    downtime_fraction = fraction;
+  }
+
 let test_series_downtime () =
   (* Hand-check the series composition formula on two synthetic tiers. *)
-  let mk fraction =
-    {
-      Candidate.design =
-        Design.tier_design ~tier_name:"t" ~resource:"rC" ~n_active:1 ();
-      model =
-        {
-          Aved_avail.Tier_model.tier_name = "t";
-          n_active = 1;
-          n_min = 1;
-          n_spare = 0;
-          failure_scope = Service.Resource_scope;
-          classes = [];
-          loss_window = None;
-          effective_performance = 1.;
-        };
-      cost = Money.zero;
-      downtime_fraction = fraction;
-    }
-  in
   Alcotest.(check (float 1e-12))
     "series" (1. -. (0.9 *. 0.8))
-    (Service_search.series_downtime_fraction [ mk 0.1; mk 0.2 ])
+    (Service_search.series_downtime_fraction
+       [ synthetic_candidate 0.1; synthetic_candidate 0.2 ])
+
+(* ------------------------------------------------------------------ *)
+(* Frontier combination *)
+
+module Pool = Aved_parallel.Pool
+module Telemetry = Aved_telemetry.Telemetry
+
+(* The reference combination: scan the whole product in lexicographic
+   path order and keep the first combination of least cost whose
+   series downtime fits the budget — the minimum under (cost, path).
+   Cost and series downtime are summed in the same left-to-right
+   order as [Service_search.series_downtime_fraction], so the
+   comparison is exact, not approximate. *)
+let brute_force_combination frontiers ~budget_fraction =
+  let arrays = Array.of_list (List.map Array.of_list frontiers) in
+  let n = Array.length arrays in
+  let path = Array.make n 0 in
+  let best = ref None in
+  let rec scan idx cost up =
+    if idx = n then begin
+      if 1. -. up <= budget_fraction then
+        match !best with
+        | Some (best_cost, _) when not (cost < best_cost) -> ()
+        | Some _ | None -> best := Some (cost, Array.copy path)
+    end
+    else
+      Array.iteri
+        (fun i (c : Candidate.t) ->
+          path.(idx) <- i;
+          scan (idx + 1)
+            (cost +. Money.to_float c.cost)
+            (up *. (1. -. c.downtime_fraction)))
+        arrays.(idx)
+  in
+  scan 0 0. 1.;
+  Option.map
+    (fun (_, path) ->
+      List.mapi (fun idx i -> arrays.(idx).(i)) (Array.to_list path))
+    !best
+
+(* 1-4 frontiers of 0-40 points, each sorted by strictly rising cost
+   and strictly falling downtime. Costs lie on a small integer grid so
+   that distinct combinations often cost the same; half the budgets
+   are the exact series downtime of some combination. *)
+let gen_combination_case =
+  let open QCheck2.Gen in
+  let frontier =
+    let* size = int_range 0 40 in
+    let* first_cost = int_range 0 3 in
+    let* cost_steps = list_repeat size (int_range 1 3) in
+    let* first_downtime = float_range 1e-3 0.2 in
+    let* downtime_ratios = list_repeat size (float_range 0.3 0.95) in
+    let rec build cost downtime steps ratios =
+      match (steps, ratios) with
+      | step :: steps, ratio :: ratios ->
+          synthetic_candidate ~cost:(float_of_int cost) downtime
+          :: build (cost + step) (downtime *. ratio) steps ratios
+      | _ -> []
+    in
+    return (build first_cost first_downtime cost_steps downtime_ratios)
+  in
+  let* frontiers = list_size (int_range 1 4) frontier in
+  let* on_point = bool in
+  let* picks = list_repeat (List.length frontiers) (int_range 0 39) in
+  let attainable =
+    if List.exists (fun f -> f = []) frontiers then None
+    else
+      Some
+        (Service_search.series_downtime_fraction
+           (List.map2
+              (fun f i -> List.nth f (i mod List.length f))
+              frontiers picks))
+  in
+  let* log_budget = float_range (Float.log 1e-4) (Float.log 0.5) in
+  let budget_fraction =
+    match attainable with
+    | Some budget when on_point -> budget
+    | Some _ | None -> Float.exp log_budget
+  in
+  return (frontiers, budget_fraction)
+
+let show_points points =
+  String.concat " "
+    (List.map
+       (fun (c : Candidate.t) ->
+         Printf.sprintf "(%g,%h)" (Money.to_float c.cost) c.downtime_fraction)
+       points)
+
+let print_combination_case (frontiers, budget_fraction) =
+  Printf.sprintf "budget %h, frontiers [%s]" budget_fraction
+    (String.concat "; " (List.map show_points frontiers))
+
+let combination_matches_brute_force ?pool (frontiers, budget_fraction) =
+  let got = Service_search.combine_frontiers ?pool frontiers ~budget_fraction in
+  let expected = brute_force_combination frontiers ~budget_fraction in
+  match (got, expected) with
+  | None, None -> true
+  | Some got, Some expected
+    when List.length got = List.length expected
+         && List.for_all2 ( == ) got expected ->
+      true
+  | _ ->
+      let show = Option.fold ~none:"none" ~some:show_points in
+      QCheck2.Test.fail_reportf "combine_frontiers %s, brute force %s"
+        (show got) (show expected)
+
+let combination_property ?pool name =
+  QCheck2.Test.make ~name ~count:300 ~print:print_combination_case
+    gen_combination_case
+    (combination_matches_brute_force ?pool)
+
+let test_combine_brute_force_sequential () =
+  QCheck2.Test.check_exn
+    (combination_property "combination = brute force (sequential)")
+
+let test_combine_brute_force_pool () =
+  Pool.run ~jobs:2 @@ fun pool ->
+  QCheck2.Test.check_exn
+    (combination_property ~pool "combination = brute force (2-domain pool)")
+
+(* The precondition [combine_frontiers] relies on: every e-commerce tier
+   frontier is sorted by strictly rising cost and strictly falling
+   downtime, at any load. *)
+let frontiers_sorted =
+  let service = Aved.Experiments.ecommerce () in
+  let infra = infra () in
+  QCheck2.Test.make ~name:"e-commerce tier frontiers strictly sorted"
+    ~count:20 ~print:string_of_float
+    QCheck2.Gen.(map Float.exp (float_range (Float.log 200.) (Float.log 4000.)))
+    (fun demand ->
+      List.for_all
+        (fun (tier : Service.tier) ->
+          let rec sorted = function
+            | (a : Candidate.t) :: (b :: _ as rest) ->
+                (Money.(a.cost < b.cost)
+                 && b.downtime_fraction < a.downtime_fraction
+                 || QCheck2.Test.fail_reportf "%s tier at load %g: %a then %a"
+                      tier.tier_name demand
+                      Candidate.pp a Candidate.pp b)
+                && sorted rest
+            | [ _ ] | [] -> true
+          in
+          sorted (Tier_search.frontier config infra ~tier ~demand))
+        service.tiers)
+
+(* The golden request (load 1000, 100 min/yr) reaches phase 2. The
+   product scan checked 16 934 partial combinations for it; the
+   output-sensitive combination checks 5 947. The ceiling leaves room
+   for small changes to the frontiers, none for a return to the
+   product scan. *)
+let golden_combine_visited_ceiling = 7_000
+
+let test_golden_combine_visited () =
+  let registry = Telemetry.create () in
+  let report =
+    Telemetry.with_registry registry @@ fun () ->
+    Service_search.design config (infra ()) (Aved.Experiments.ecommerce ())
+      (Requirements.enterprise ~throughput:1000.
+         ~max_annual_downtime:(Duration.of_minutes 100.))
+  in
+  let read = Telemetry.Counter.read_by_name registry in
+  let visited = read "search.service.combine.visited" in
+  Alcotest.(check (option (float 0.)))
+    "golden cost" (Some 267620.)
+    (Option.map (fun (r : Service_search.report) -> Money.to_float r.cost) report);
+  Alcotest.(check bool)
+    "reaches phase 2" true
+    (read "search.service.combos_tested" > 0);
+  if visited > golden_combine_visited_ceiling then
+    Alcotest.failf "combine.visited %d > ceiling %d" visited
+      golden_combine_visited_ceiling
 
 (* ------------------------------------------------------------------ *)
 (* Sensitivity *)
@@ -677,7 +850,6 @@ let test_config_with_jobs () =
 (* The evaluation cache: the search's one downtime cache *)
 
 module Eval_cache = Aved_search.Eval_cache
-module Telemetry = Aved_telemetry.Telemetry
 
 (* Every model of the e-commerce application tier over each resource
    option, settings combination and spare mode, at small
@@ -1023,5 +1195,15 @@ let () =
           Alcotest.test_case "finite job dispatch" `Quick
             test_service_job_dispatch;
           Alcotest.test_case "series composition" `Quick test_series_downtime;
+        ] );
+      ( "combination",
+        [
+          Alcotest.test_case "brute-force equivalence, sequential" `Quick
+            test_combine_brute_force_sequential;
+          Alcotest.test_case "brute-force equivalence, 2-domain pool" `Quick
+            test_combine_brute_force_pool;
+          QCheck_alcotest.to_alcotest frontiers_sorted;
+          Alcotest.test_case "golden request: visits under ceiling" `Quick
+            test_golden_combine_visited;
         ] );
     ]
