@@ -23,7 +23,7 @@ let section title =
 
    One telemetry-instrumented run per figure kernel, one of the engine
    cross-check ("validate") and one of the e-commerce service designs
-   ("enterprise"), written to BENCH_search.json (schema_version 5) for
+   ("enterprise"), written to BENCH_search.json (schema_version 6) for
    CI artifact upload and regression tracking. The first recorded
    run's per-figure wall times are carried forward verbatim as the
    "baseline" object on every subsequent run — a v1 file's "figures"
@@ -157,10 +157,13 @@ let json_search_benchmark () =
      the sum is complete when it is read. *)
   let minor_words () = (Gc.quick_stat ()).Gc.minor_words in
   (* [run jobs] runs one figure at [jobs] domains. The timed pass runs
-     at the host's domain count. The evaluation-cache counters come
-     from a second, one-domain pass: each domain warms its own cache,
-     and which domain takes which task depends on scheduling, so only
-     one domain gives the same counts on every run. *)
+     at the host's domain count. The search counters come from a
+     second, one-domain pass: each domain warms its own evaluation
+     cache, and the shared incumbent tightens a branch's cost cap as
+     soon as another branch has found a design, so which domain takes
+     which task moves the cache counts and the evaluated and pruned
+     candidate counts. Only one domain gives the same counts on every
+     host. *)
   let measure name run =
     let t = Telemetry.create () in
     Telemetry.install t;
@@ -172,7 +175,7 @@ let json_search_benchmark () =
     let one_domain = Telemetry.create () in
     Telemetry.with_registry one_domain (fun () -> run 1);
     let counter n =
-      if String.starts_with ~prefix:"search.eval.downtime." n then
+      if String.starts_with ~prefix:"search." n then
         Telemetry.Counter.read_by_name one_domain n
       else Telemetry.Counter.read_by_name t n
     in
@@ -203,7 +206,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 5,\n";
+  Buffer.add_string buf "  \"schema_version\": 6,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -466,7 +469,7 @@ let ablation_checkpoint_interval () =
           ~n_active:40 ~n_spare:1 ~mechanism_settings:settings ()
       in
       let candidate =
-        Search.Job_search.evaluate Aved.Experiments.fig7_config infra ~option
+        Search.Job_search.evaluate infra ~option
           ~job_size:Aved.Experiments.scientific_job_size design
       in
       Printf.printf "interval %8.1f min -> job %8.2f h\n" minutes

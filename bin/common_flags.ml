@@ -186,16 +186,17 @@ let with_telemetry ?(stats = false) ?trace f =
     code
   end
 
-(* Search configuration of every command: the base with the requested
-   parallelism. Validated here rather than in the cmdliner converter so
-   every command reports bad values the same way (exit 1, one line on
-   stderr). *)
+(* The --jobs value of every command, [aved serve] included: the
+   runtime's recommended domain count when absent. Validated here
+   rather than in the cmdliner converter so every command reports bad
+   values the same way (exit 1, one line on stderr). *)
+let resolve_jobs = function
+  | Some j when j < 1 ->
+      failwith (Printf.sprintf "--jobs must be a positive integer (got %d)" j)
+  | Some j -> j
+  | None -> Domain.recommended_domain_count ()
+
+(* Search configuration of every search command: the base with the
+   requested parallelism. *)
 let search_config ?(base = Aved_search.Search_config.default) jobs =
-  let jobs =
-    match jobs with
-    | Some j when j < 1 ->
-        failwith (Printf.sprintf "--jobs must be a positive integer (got %d)" j)
-    | Some j -> j
-    | None -> Domain.recommended_domain_count ()
-  in
-  Aved_search.Search_config.with_jobs jobs base
+  Aved_search.Search_config.with_jobs (resolve_jobs jobs) base

@@ -755,14 +755,7 @@ let serve_cmd =
               failwith "--socket and --tcp are mutually exclusive"
           | None, None -> failwith "specify --socket PATH or --tcp HOST:PORT"
         in
-        let jobs =
-          match jobs with
-          | Some j when j < 1 ->
-              failwith
-                (Printf.sprintf "--jobs must be a positive integer (got %d)" j)
-          | Some j -> j
-          | None -> Domain.recommended_domain_count ()
-        in
+        let jobs = resolve_jobs jobs in
         List.iter
           (fun (flag, v) ->
             if v < 1 then

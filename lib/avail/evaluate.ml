@@ -8,7 +8,6 @@ type engine =
   | Exact of { max_states : int }
   | Monte_carlo of Monte_carlo.config
 
-let default_engine = Analytic
 let memoized () = Analytic
 
 (* Per-engine invocation counters and solve-latency histograms. The

@@ -10,8 +10,6 @@ type engine =
   | Exact of { max_states : int }  (** Engine B — validation. *)
   | Monte_carlo of Monte_carlo.config  (** Engine C — validation. *)
 
-val default_engine : engine
-
 val memoized : unit -> engine
 (** [Analytic]. A former name kept only because the committed serving
     benchmark ([perfbench/serving.ml]) still calls it; the search's

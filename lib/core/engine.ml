@@ -70,15 +70,15 @@ let cross_check m =
    run. Shared by [aved explain --json], the human explain report and
    the server's [explain] verb, so every front end attributes downtime
    identically. *)
-let explain ?top ?trail ~config infra (service : Model.Service.t) requirements
-    (report : report) =
+let explain ?top ?trail ~config:_ infra (service : Model.Service.t)
+    requirements (report : report) =
   let demand =
     match requirements with
     | Model.Requirements.Enterprise { throughput; _ } -> Some throughput
     | Model.Requirements.Finite_job _ -> None
   in
   let models = evaluate_design infra service report.design ~demand in
-  let engine = config.Search.Search_config.engine in
+  let engine = Aved_avail.Evaluate.Analytic in
   {
     Aved_explain.Explain.service_name = service.Model.Service.service_name;
     engine = Aved_explain.Explain.engine_label engine;

@@ -68,8 +68,9 @@ val explain :
   Aved_explain.Explain.t
 (** Decision-provenance explanation of a finished design run:
     re-evaluates the chosen design's tier models, decomposes their
-    downtime through [config]'s engine and recovers the top-[top]
-    runner-ups from [trail] when one was installed around the search.
-    Shared by the CLI and the server so both attribute identically. *)
+    downtime through Engine A (the search's engine) and recovers the
+    top-[top] runner-ups from [trail] when one was installed around the
+    search. Shared by the CLI and the server so both attribute
+    identically. [config] is not read: the search has one engine. *)
 
 val pp_report : Format.formatter -> report -> unit

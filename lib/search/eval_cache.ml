@@ -231,32 +231,24 @@ let tier_cost entry ~n_active ~n_spare =
 let model entry ~n_active ~n_spare ~demand =
   Avail.Tier_model.Skeleton.instantiate entry.skel ~n_active ~n_spare ~demand
 
-let downtime_fraction entry engine (m : Avail.Tier_model.t) =
-  match engine with
-  | Avail.Evaluate.Analytic -> (
-      (* Within a table the downtime is a pure function of this triple
-         (classes and scope are fixed by the table's pool key), and the
-         engine is deterministic, so the cached value is bitwise what a
-         fresh evaluation would produce. *)
-      let table =
-        if m.n_spare > 0 then entry.downtime_spare else entry.downtime_nospare
+(* Within a table the downtime is a pure function of this triple
+   (classes and scope are fixed by the table's pool key), and Engine A
+   is deterministic, so the cached value is bitwise what a fresh
+   evaluation would produce. *)
+let downtime_fraction entry (m : Avail.Tier_model.t) =
+  let table =
+    if m.n_spare > 0 then entry.downtime_spare else entry.downtime_nospare
+  in
+  let key = (m.n_active, m.n_min, m.n_spare) in
+  match Hashtbl.find_opt table key with
+  | Some f ->
+      if Telemetry.enabled () then Telemetry.Counter.incr tm_reused;
+      f
+  | None ->
+      let f =
+        Telemetry.with_span "search.eval.downtime" (fun () ->
+            Avail.Evaluate.tier_downtime_fraction Avail.Evaluate.Analytic m)
       in
-      let key = (m.n_active, m.n_min, m.n_spare) in
-      match Hashtbl.find_opt table key with
-      | Some f ->
-          if Telemetry.enabled () then Telemetry.Counter.incr tm_reused;
-          f
-      | None ->
-          let f =
-            Telemetry.with_span "search.eval.downtime" (fun () ->
-                Avail.Evaluate.tier_downtime_fraction engine m)
-          in
-          if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;
-          Hashtbl.add table key f;
-          f)
-  | Avail.Evaluate.Exact _ | Avail.Evaluate.Monte_carlo _ ->
-      (* Validation engines are not cached: Monte Carlo is stochastic,
-         and the exact engine's incremental solver makes its output
-         depend on solve order — caching per domain could leak that
-         order into the deterministic merge. *)
-      Avail.Evaluate.tier_downtime_fraction engine m
+      if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;
+      Hashtbl.add table key f;
+      f

@@ -1,6 +1,6 @@
 (** Domain-local evaluation cache for the search's inner loop.
 
-    The enumeration in {!Tier_search} and {!Job_search} revisits the
+    The enumeration in {!Option_search} revisits the
     same (resource option, mechanism settings, spare-active set)
     combination at many resource counts. Everything that does not
     depend on the counts — failure classes, loss window, the effective
@@ -73,13 +73,12 @@ val model :
 (** Bitwise identical to [Tier_model.build] of the corresponding design,
     including raising the same [Rejected] exceptions. *)
 
-val downtime_fraction :
-  entry -> Aved_avail.Evaluate.engine -> Aved_avail.Tier_model.t -> float
-(** The engine's downtime fraction for a model instantiated from this
-    entry. [Analytic] results are cached per (n_active, n_min,
-    n_spare) — the full parameter set of that engine beyond the
-    entry's classes and scope; validation engines pass through
-    uncached. *)
+val downtime_fraction : entry -> Aved_avail.Tier_model.t -> float
+(** Engine A's downtime fraction for a model instantiated from this
+    entry, cached per (n_active, n_min, n_spare) — the full parameter
+    set of that engine beyond the entry's classes and scope. Engine A
+    is the one engine the search uses; Engines B and C validate
+    finished designs outside it. *)
 
 val reset : unit -> unit
 (** Drop the calling domain's cache (tests and benchmarks). *)

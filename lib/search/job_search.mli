@@ -1,18 +1,13 @@
-(** Design-space search for finite jobs (paper §2, §5.2).
+(** Design-space search for finite jobs (paper §2, §5.2): the
+    finite-job kind of the one option search, {!Option_search}.
 
     The only requirement is the expected job completion time. The search
     explores resource type, number of (static) active resources, spares,
     spare modes, and mechanism parameters — for the paper's scientific
     example: the checkpoint interval and the checkpoint storage
-    location. Counts below the failure-free feasibility threshold are
-    skipped without evaluation.
-
-    With [config.jobs > 1] the resource options and the
-    mechanism-settings grid are searched on a domain pool; results are
-    bit-identical to the sequential search (candidates are ranked
-    under a total order — cost, execution time, then
-    {!Aved_model.Design.compare_tier} — and cross-branch pruning uses
-    only sound cost bounds). *)
+    location. Counts whose failure-free completion time misses the
+    bound are skipped without evaluation. Candidates are ranked by
+    cost, then execution time, then {!Aved_model.Design.compare_tier}. *)
 
 module Duration = Aved_units.Duration
 module Money = Aved_units.Money
@@ -25,13 +20,12 @@ type candidate = {
 }
 
 val evaluate :
-  Search_config.t ->
   Aved_model.Infrastructure.t ->
   option:Aved_model.Service.resource_option ->
   job_size:float ->
   Aved_model.Design.tier_design ->
   candidate
-(** Evaluate one resolved design. *)
+(** Evaluate one resolved design with Engine A. *)
 
 val optimal :
   ?pool:Aved_parallel.Pool.t ->

@@ -1,5 +1,4 @@
 type t = {
-  engine : Aved_avail.Evaluate.engine;
   max_extra_resources : int;
   max_spares : int;
   max_total_resources : int;
@@ -9,7 +8,6 @@ type t = {
 
 let default =
   {
-    engine = Aved_avail.Evaluate.Analytic;
     max_extra_resources = 8;
     max_spares = 3;
     max_total_resources = 2000;
@@ -17,7 +15,7 @@ let default =
     jobs = 1;
   }
 
-let with_engine engine t = { t with engine }
+let with_engine (_ : Aved_avail.Evaluate.engine) t = t
 
 let with_jobs jobs t =
   if jobs < 1 then invalid_arg "Search_config.with_jobs: jobs must be >= 1";

@@ -1,8 +1,6 @@
 (** Knobs for the design-space search. *)
 
 type t = {
-  engine : Aved_avail.Evaluate.engine;
-      (** Availability engine used inside the loop. *)
   max_extra_resources : int;
       (** How far beyond the performance-derived minimum to explore the
           total resource count of a tier (extras + spares combined). *)
@@ -21,10 +19,14 @@ type t = {
 }
 
 val default : t
-(** Analytic engine, up to 8 extra resources, 3 spares, 2000 total,
-    all-inactive spares, 1 job. *)
+(** Up to 8 extra resources, 3 spares, 2000 total, all-inactive
+    spares, 1 job. *)
 
 val with_engine : Aved_avail.Evaluate.engine -> t -> t
+(** Returns the configuration unchanged: the search evaluates every
+    design with Engine A, through {!Eval_cache}. Kept only because the
+    committed serving benchmark ([perfbench/serving.ml]) still calls
+    it; delete once the benchmark stops calling it. *)
 
 val with_jobs : int -> t -> t
 (** Raises [Invalid_argument] when [jobs < 1]. *)

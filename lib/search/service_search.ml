@@ -272,12 +272,7 @@ let job_design ?pool config infra (service : Model.Service.t) ~job_size
            service.service_name)
 
 let design ?pool config infra (service : Model.Service.t) requirements =
-  let with_pool f =
-    match pool with
-    | Some pool -> f pool
-    | None -> Pool.run ~jobs:config.Search_config.jobs f
-  in
-  with_pool @@ fun pool ->
+  Option_search.with_pool ?pool config @@ fun pool ->
   match (requirements, service.job_size) with
   | Model.Requirements.Enterprise { throughput; max_annual_downtime }, None ->
       enterprise_design ~pool config infra service ~throughput

@@ -1,33 +1,14 @@
-(** Per-tier design-space search for enterprise services (paper §4.1).
+(** Per-tier design-space search for enterprise services (paper §4.1):
+    the enterprise kind of the one option search, {!Option_search}.
 
-    For each resource option of a tier, the search starts from the
-    minimum number of resources that meets the performance requirement
-    with no failures and grows the total count one resource at a time.
-    At each count it enumerates every split into active and spare
-    resources, every spare operational-mode assignment, and every
-    availability-mechanism configuration; costs are evaluated first and
-    designs strictly costlier than the incumbent are rejected without
-    evaluating availability. The search for an option stops when every
-    design at the current count costs at least as much as the
-    incumbent, or — when no feasible design has been found — once
-    growing the count stops improving the best achievable downtime.
-
-    With [config.jobs > 1] the resource options (and, within an
-    option, the mechanism-settings combinations) are searched on a
-    domain pool; the result is bit-identical to the sequential search
-    because candidates are ranked under the total order
-    {!Candidate.compare_total} and cross-branch pruning uses only
-    sound cost bounds (see {!Aved_parallel.Incumbent}). *)
+    Here the requirement is a throughput [demand] and an annual
+    downtime budget. An option's counts start at the fewest resources
+    that meet [demand] under some mechanism settings and reach at most
+    [max_extra_resources + max_spares] further. Candidates are ranked
+    by cost, then downtime, then {!Aved_model.Design.compare_tier}. *)
 
 module Duration = Aved_units.Duration
 module Money = Aved_units.Money
-
-val settings_product :
-  Aved_model.Infrastructure.t ->
-  Aved_model.Resource.t ->
-  (string * Aved_model.Mechanism.setting) list list
-(** Every combination of settings of the mechanisms the resource
-    references. [[[]]] when it references none. *)
 
 val enumerate_total :
   Search_config.t ->

@@ -1,7 +1,7 @@
 (* End-to-end smoke tests of the aved executable: error paths must exit
    with status 1 and a single line on stderr, the telemetry flags must
    produce a stats summary and a Chrome-loadable trace, and validate
-   must reproduce its golden output. The tests run from
+   and explain --json must reproduce their golden outputs. The tests run from
    _build/default/test, next to ../bin/main.exe. *)
 
 let aved = Filename.concat (Filename.concat ".." "bin") "main.exe"
@@ -307,6 +307,21 @@ let test_validate_golden () =
     (read_file (Filename.concat "golden" "validate.txt"))
     stdout
 
+(* explain --json pins the decision-provenance trail the search leaves
+   behind (which candidates were recorded, with which fate), byte for
+   byte, for an enterprise and a finite-job request. One domain, so
+   the trail's counts do not depend on scheduling. *)
+let test_explain_golden ~golden args () =
+  let status, stdout, _ =
+    run_aved
+      (Printf.sprintf "explain -i %s %s --json --jobs 1"
+         (spec "infrastructure.spec") args)
+  in
+  Alcotest.(check int) "exit status" 0 status;
+  Alcotest.(check string) ("golden/" ^ golden)
+    (read_file (Filename.concat "golden" golden))
+    stdout
+
 let () =
   Alcotest.run "cli"
     [
@@ -338,5 +353,15 @@ let () =
             test_frontier_explain_is_superset;
         ] );
       ( "golden",
-        [ Alcotest.test_case "validate output" `Quick test_validate_golden ] );
+        [
+          Alcotest.test_case "validate output" `Quick test_validate_golden;
+          Alcotest.test_case "explain --json, e-commerce" `Quick
+            (test_explain_golden ~golden:"explain_ecommerce.json"
+               (Printf.sprintf "-s %s --load 1000 --downtime 100"
+                  (spec "ecommerce.spec")));
+          Alcotest.test_case "explain --json, scientific" `Quick
+            (test_explain_golden ~golden:"explain_scientific.json"
+               (Printf.sprintf "-s %s --job-hours 100"
+                  (spec "scientific.spec")));
+        ] );
     ]

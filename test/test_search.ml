@@ -144,7 +144,7 @@ let test_brute_force_equivalence () =
     List.concat_map
       (fun (option : Service.resource_option) ->
         let resource = Infrastructure.resource_exn infra option.resource in
-        let settings = Tier_search.settings_product infra resource in
+        let settings = Aved_search.Eval_cache.settings_product infra resource in
         match Tier_search.option_minimum ~option ~settings ~demand with
         | None -> []
         | Some start ->
@@ -290,6 +290,105 @@ let test_job_frontier () =
     | [ _ ] | [] -> ()
   in
   check frontier
+
+(* ------------------------------------------------------------------ *)
+(* Spare operational modes (paper §4.1): spares whose components run
+   hot fail over faster, so the space with every downward-closed
+   spare-active set reaches lower downtime than all-inactive spares. *)
+
+let with_spare_modes ?(jobs = 1) base =
+  Search_config.with_jobs jobs
+    { base with Search_config.explore_spare_modes = true }
+
+let database_tier () =
+  match Service.find_tier (Aved.Experiments.ecommerce ()) "database" with
+  | Some tier -> tier
+  | None -> Alcotest.fail "e-commerce service lacks its database tier"
+
+let describe_tier (td : Design.tier_design) =
+  Format.asprintf "%a" Design.pp_tier td
+
+let check_floor what frontier ~points ~minutes ~cost =
+  Alcotest.(check int) (what ^ ": frontier points") points
+    (List.length frontier);
+  match List.rev frontier with
+  | [] -> Alcotest.failf "%s: empty frontier" what
+  | floor :: _ ->
+      Alcotest.(check string) (what ^ ": floor downtime") minutes
+        (Printf.sprintf "%.2f" (Duration.minutes (Candidate.downtime floor)));
+      Alcotest.(check (float 0.)) (what ^ ": floor cost") cost
+        (Money.to_float floor.Candidate.cost)
+
+let test_spare_mode_frontier () =
+  let frontier config =
+    Tier_search.frontier config (infra ()) ~tier:(database_tier ())
+      ~demand:5000.
+  in
+  let cold = frontier config and hot = frontier (with_spare_modes config) in
+  check_floor "all-inactive spares" cold ~points:16 ~minutes:"45.91"
+    ~cost:469900.;
+  check_floor "every spare mode" hot ~points:22 ~minutes:"0.56" ~cost:556000.;
+  (* The larger space can only do better: every all-inactive frontier
+     point is matched or beaten on both axes. *)
+  List.iter
+    (fun (p : Candidate.t) ->
+      if
+        not
+          (List.exists
+             (fun (q : Candidate.t) ->
+               Money.(q.cost <= p.cost)
+               && q.downtime_fraction <= p.downtime_fraction)
+             hot)
+      then
+        Alcotest.failf "no spare-mode point covers %s" (describe_tier p.design))
+    cold
+
+let test_spare_mode_tier_optimal () =
+  let optimal config =
+    Tier_search.optimal config (infra ()) ~tier:(database_tier ())
+      ~demand:5000. ~max_downtime:(Duration.of_minutes 10.)
+  in
+  Alcotest.(check bool) "out of reach with all-inactive spares" true
+    (optimal config = None);
+  match
+    ( optimal (with_spare_modes config),
+      optimal (with_spare_modes ~jobs:4 config) )
+  with
+  | Some a, Some b ->
+      Alcotest.(check string) "a hot spare"
+        "tier database: rG x1 active, 1 spare (spare-active: machineB,unix) \
+         maintenanceB(level=bronze)"
+        (describe_tier a.design);
+      Alcotest.(check (float 0.)) "cost" 227600. (Money.to_float a.cost);
+      Alcotest.(check string) "same design at --jobs 4" (describe_tier a.design)
+        (describe_tier b.design);
+      Alcotest.(check (float 0.)) "same downtime at --jobs 4"
+        a.downtime_fraction b.downtime_fraction
+  | _ -> Alcotest.fail "expected a spare-mode design at --jobs 1 and 4"
+
+let test_spare_mode_job_optimal () =
+  let optimal config =
+    Job_search.optimal config (sci_infra ()) ~tier:(sci_tier ()) ~job_size
+      ~max_time:(Duration.of_hours 60.)
+  in
+  match
+    ( optimal job_config,
+      optimal (with_spare_modes job_config),
+      optimal (with_spare_modes ~jobs:4 job_config) )
+  with
+  | Some cold, Some a, Some b ->
+      Alcotest.(check bool) "the requirement needs a spare" true
+        (cold.design.Design.n_spare > 0);
+      Alcotest.(check bool) "no costlier than all-inactive spares" true
+        Money.(a.cost <= cold.cost);
+      Alcotest.(check string) "same design at --jobs 4" (describe_tier a.design)
+        (describe_tier b.design);
+      Alcotest.(check (float 0.)) "same cost at --jobs 4"
+        (Money.to_float a.cost) (Money.to_float b.cost);
+      Alcotest.(check (float 0.)) "same completion time at --jobs 4"
+        (Duration.seconds a.execution_time)
+        (Duration.seconds b.execution_time)
+  | _ -> Alcotest.fail "expected a 60 h design in every configuration"
 
 (* ------------------------------------------------------------------ *)
 (* Service-level search *)
@@ -891,7 +990,7 @@ let sweep registry infra =
   List.iter
     (fun (entry, m) ->
       let cached =
-        Eval_cache.downtime_fraction entry Aved_avail.Evaluate.Analytic m
+        Eval_cache.downtime_fraction entry m
       in
       let direct = Aved_avail.Analytic.downtime_fraction m in
       if Int64.bits_of_float cached <> Int64.bits_of_float direct then
@@ -1137,6 +1236,15 @@ let () =
           Alcotest.test_case "cost monotone" `Quick test_job_cost_monotone;
           Alcotest.test_case "infeasible deadline" `Quick test_job_infeasible;
           Alcotest.test_case "frontier" `Quick test_job_frontier;
+        ] );
+      ( "spare modes",
+        [
+          Alcotest.test_case "frontier weakly dominates the default" `Quick
+            test_spare_mode_frontier;
+          Alcotest.test_case "tier optimal is a hot spare at any --jobs"
+            `Quick test_spare_mode_tier_optimal;
+          Alcotest.test_case "job optimal at any --jobs, no costlier" `Quick
+            test_spare_mode_job_optimal;
         ] );
       ( "sensitivity",
         [
