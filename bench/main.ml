@@ -23,7 +23,8 @@ let section title =
 
    One telemetry-instrumented run per figure kernel, one of the engine
    cross-check ("validate") and one of the e-commerce service designs
-   ("enterprise"), written to BENCH_search.json (schema_version 6) for
+   ("enterprise"), and one of the e-commerce tier frontiers
+   ("frontiers"), written to BENCH_search.json (schema_version 7) for
    CI artifact upload and regression tracking. The first recorded
    run's per-figure wall times are carried forward verbatim as the
    "baseline" object on every subsequent run — a v1 file's "figures"
@@ -149,6 +150,51 @@ let json_enterprise_benchmark ~jobs ~minor_words =
      \"phase2_designs\": %d, \"combos_tested\": %d, \"combine_visited\": %d}"
     (List.length grid) wall words phase2 tested visited
 
+(* Tier_search.frontier for the three e-commerce tiers over a fixed
+   load grid, on one domain: the skyline frontier the enterprise
+   search's phase 2 and the daemon's frontier verb run. One unmeasured
+   pass warms the evaluation cache; [passes] warm passes are timed
+   together, and the counts come from one more pass under a registry,
+   so they repeat exactly. *)
+let json_frontiers_benchmark ~minor_words =
+  let infra = Aved.Experiments.infrastructure () in
+  let service = Aved.Experiments.ecommerce () in
+  let config = Search.Search_config.with_jobs 1 Search.Search_config.default in
+  let loads = [ 200.; 400.; 800.; 1000.; 1600.; 2400.; 3200.; 4000. ] in
+  let passes = 20 in
+  let pass () =
+    List.fold_left
+      (fun points load ->
+        List.fold_left
+          (fun points tier ->
+            points
+            + List.length
+                (Search.Tier_search.frontier config infra ~tier ~demand:load))
+          points service.Aved_model.Service.tiers)
+      0 loads
+  in
+  Search.Eval_cache.reset ();
+  ignore (pass ());
+  let words0 = minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to passes do
+    ignore (pass ())
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = minor_words () -. words0 in
+  let t = Telemetry.create () in
+  let points = Telemetry.with_registry t pass in
+  let counter = Telemetry.Counter.read_by_name t in
+  Printf.sprintf
+    "{\"frontiers\": %d, \"passes\": %d, \"wall_seconds\": %.6f, \
+     \"minor_words\": %.0f, \"generated\": %d, \"points\": %d, \
+     \"inserted\": %d}"
+    (List.length loads * List.length service.tiers)
+    passes wall words
+    (counter "search.candidates.generated")
+    points
+    (counter "search.frontier.inserted")
+
 let json_search_benchmark () =
   let jobs = Domain.recommended_domain_count () in
   (* Minor words come from [Gc.quick_stat], which sums over every
@@ -206,7 +252,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 6,\n";
+  Buffer.add_string buf "  \"schema_version\": 7,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -252,6 +298,9 @@ let json_search_benchmark () =
   Buffer.add_string buf "  ],\n";
   let validate = json_validate_benchmark ~jobs in
   Buffer.add_string buf (Printf.sprintf "  \"validate\": %s,\n" validate);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"frontiers\": %s,\n"
+       (json_frontiers_benchmark ~minor_words));
   Buffer.add_string buf
     (Printf.sprintf "  \"enterprise\": %s\n}\n"
        (json_enterprise_benchmark ~jobs ~minor_words));

@@ -240,14 +240,15 @@ module Skeleton = struct
     tier_name : string;
     option : Model.Service.resource_option;
     settings : (string * Model.Mechanism.setting) list;
-    eff : (int, float) Hashtbl.t; (* n -> effective performance *)
+    mutable eff : Float.Array.t;
+        (* n -> effective performance, nan where not computed yet *)
     (* The last demand each derivation below saw, with its answer. A
        search keeps one demand throughout, so one slot keeps its hits,
        and memory stays bounded however many demands a daemon serves;
        both are pure, so a miss only recomputes. *)
-    mutable n_min : (float * int option) option; (* minimum actives *)
+    mutable min_actives : (float * int option) option; (* minimum actives *)
     mutable n_min_dynamic : (float * dynamic_min) option;
-        (* progress of [instantiate]'s m-derivation, which scans every
+        (* progress of [n_min]'s m-derivation, which scans every
            count from 1 (not just the option's range). *)
     classes_spare : failure_class list;
     classes_nospare : failure_class list;
@@ -267,8 +268,8 @@ module Skeleton = struct
       tier_name;
       option;
       settings;
-      eff = Hashtbl.create 8;
-      n_min = None;
+      eff = Float.Array.create 0;
+      min_actives = None;
       n_min_dynamic = None;
       classes_spare =
         classes_of ~infra ~resource ~settings ~tier_name ~spare_active
@@ -281,19 +282,33 @@ module Skeleton = struct
       spare_cost;
     }
 
+  (* Counts below this are memoized in [eff], which grows to the
+     largest one asked for; the search asks for counts near the
+     fewest that meet the demand. *)
+  let eff_limit = 4096
+
   let effective_performance skel ~n =
-    match Hashtbl.find_opt skel.eff n with
-    | Some v -> v
-    | None ->
-        let v =
-          effective_performance_of ~option:skel.option ~settings:skel.settings
-            ~n
-        in
-        Hashtbl.add skel.eff n v;
-        v
+    let known = Float.Array.length skel.eff in
+    let v = if n >= 0 && n < known then Float.Array.get skel.eff n else nan in
+    if Float.is_nan v then begin
+      let v =
+        effective_performance_of ~option:skel.option ~settings:skel.settings ~n
+      in
+      if n >= 0 && n < eff_limit then begin
+        if n >= known then begin
+          let size = Stdlib.min eff_limit (Stdlib.max (n + 1) (2 * known)) in
+          let grown = Float.Array.make size nan in
+          Float.Array.blit skel.eff 0 grown 0 known;
+          skel.eff <- grown
+        end;
+        Float.Array.set skel.eff n v
+      end;
+      v
+    end
+    else v
 
   let minimum_actives skel ~demand =
-    match skel.n_min with
+    match skel.min_actives with
     | Some (memo, answer) when Float.equal memo demand -> answer
     | Some _ | None ->
         let answer =
@@ -301,8 +316,11 @@ module Skeleton = struct
             (fun n -> n > 0 && effective_performance skel ~n >= demand)
             (Model.Int_range.to_seq skel.option.n_active)
         in
-        skel.n_min <- Some (demand, answer);
+        skel.min_actives <- Some (demand, answer);
         answer
+
+  let active_cost skel = skel.active_cost
+  let spare_cost skel = skel.spare_cost
 
   let tier_cost skel ~n_active ~n_spare =
     Money.add
@@ -314,7 +332,42 @@ module Skeleton = struct
 
   let failure_scope skel = skel.option.Model.Service.failure_scope
 
-  let instantiate skel ~n_active ~n_spare ~demand : tier =
+  (* [n_min]'s m-derivation under dynamic sizing and resource scope,
+     where [demand] is the tier's throughput requirement. *)
+  let dynamic_n_min skel ~n_active ~demand =
+    let reject_at_bound () =
+      reject "Tier_model: tier %s cannot deliver %g with %d resources"
+        skel.tier_name demand n_active
+    in
+    let rec search k =
+      if k > n_active then begin
+        skel.n_min_dynamic <- Some (demand, Exhausted_below n_active);
+        reject_at_bound ()
+      end
+      else if effective_performance skel ~n:k >= demand then begin
+        skel.n_min_dynamic <- Some (demand, Found k);
+        k
+      end
+      else search (k + 1)
+    in
+    (* The scan is monotone in k, so earlier answers transfer: a
+       [Found] below the current bound is THE minimum, a [Found] above
+       it or an exhausted prefix covering the bound means rejection,
+       and a shorter exhausted prefix lets the scan resume where it
+       stopped. Skipped re-evaluations are memoized pure lookups, so
+       the outcome — including the rejection message, which quotes the
+       current bound — is bitwise unchanged. *)
+    match skel.n_min_dynamic with
+    | Some (memo, progress) when Float.equal memo demand -> (
+        match progress with
+        | Found k when k <= n_active -> k
+        | Found _ -> reject_at_bound ()
+        | Exhausted_below bound ->
+            if n_active <= bound then reject_at_bound ()
+            else search (bound + 1))
+    | Some _ | None -> search 1
+
+  let n_min skel ~n_active ~demand =
     let n_min =
       match (skel.option.sizing, skel.option.failure_scope) with
       | Model.Service.Static, _ | _, Model.Service.Tier_scope -> n_active
@@ -327,47 +380,26 @@ module Skeleton = struct
                     derive m"
                    skel.tier_name)
           | Some demand -> (
-              let reject_at_bound () =
-                reject "Tier_model: tier %s cannot deliver %g with %d resources"
-                  skel.tier_name demand n_active
-              in
-              let rec search k =
-                if k > n_active then begin
-                  skel.n_min_dynamic <-
-                    Some (demand, Exhausted_below n_active);
-                  reject_at_bound ()
-                end
-                else if effective_performance skel ~n:k >= demand then begin
-                  skel.n_min_dynamic <- Some (demand, Found k);
-                  k
-                end
-                else search (k + 1)
-              in
-              (* The scan is monotone in k, so earlier answers transfer:
-                 a [Found] below the current bound is THE minimum, a
-                 [Found] above it or an exhausted prefix covering the
-                 bound means rejection, and a shorter exhausted prefix
-                 lets the scan resume where it stopped. Skipped
-                 re-evaluations are memoized pure lookups, so the
-                 outcome — including the rejection message, which quotes
-                 the current bound — is bitwise unchanged. *)
+              (* The search's common case, answered without allocating. *)
               match skel.n_min_dynamic with
-              | Some (memo, progress) when Float.equal memo demand -> (
-                  match progress with
-                  | Found k when k <= n_active -> k
-                  | Found _ -> reject_at_bound ()
-                  | Exhausted_below bound ->
-                      if n_active <= bound then reject_at_bound ()
-                      else search (bound + 1))
-              | Some _ | None -> search 1))
+              | Some (memo, Found k)
+                when Float.equal memo demand && k <= n_active ->
+                  k
+              | Some _ | None -> dynamic_n_min skel ~n_active ~demand))
     in
-    let effective_performance = effective_performance skel ~n:n_active in
     (match demand with
-    | Some d when effective_performance < d ->
-        reject
-          "Tier_model: tier %s delivers %g < required %g with %d resources"
-          skel.tier_name effective_performance d n_active
-    | Some _ | None -> ());
+    | Some d ->
+        let effective_performance = effective_performance skel ~n:n_active in
+        if effective_performance < d then
+          reject
+            "Tier_model: tier %s delivers %g < required %g with %d resources"
+            skel.tier_name effective_performance d n_active
+    | None -> ());
+    n_min
+
+  let instantiate skel ~n_active ~n_spare ~demand : tier =
+    let n_min = n_min skel ~n_active ~demand in
+    let effective_performance = effective_performance skel ~n:n_active in
     {
       tier_name = skel.tier_name;
       n_active;

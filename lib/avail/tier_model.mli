@@ -135,7 +135,14 @@ module Skeleton : sig
 
   val tier_cost : t -> n_active:int -> n_spare:int -> Aved_units.Money.t
   (** Bitwise identical to [Design.tier_cost] of the corresponding
-      design. *)
+      design: [n_active × active_cost + n_spare × spare_cost], in that
+      order. *)
+
+  val active_cost : t -> Aved_units.Money.t
+  (** Annual cost of one active resource. *)
+
+  val spare_cost : t -> Aved_units.Money.t
+  (** Annual cost of one spare resource. *)
 
   val classes : t -> spares:bool -> failure_class list
   (** The failure classes an instantiated model carries when it has
@@ -145,6 +152,11 @@ module Skeleton : sig
       caches across skeletons whose classes and scope are equal. *)
 
   val failure_scope : t -> Aved_model.Service.failure_scope
+
+  val n_min : t -> n_active:int -> demand:float option -> int
+  (** The [n_min] of the model {!instantiate} would build at [n_active]
+      active resources, without building it. Raises {!Rejected} exactly
+      as {!instantiate} does; it is {!instantiate}'s own derivation. *)
 
   val instantiate : t -> n_active:int -> n_spare:int -> demand:float option -> tier
   (** The tier model at the given resource counts. Raises {!Rejected}

@@ -219,3 +219,6 @@ let map t f xs =
                | Some (Error e) -> raise e
                | None -> assert false)
              results)
+
+let fan_out ?pool f xs =
+  match pool with Some pool -> map pool f xs | None -> List.map f xs

@@ -49,6 +49,11 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     bindings, replacing whatever the executing thread had bound — also
     when a caller of another [map] helps drain this batch. *)
 
+val fan_out : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+(** [fan_out ?pool f xs] is [map pool f xs] when [pool] is given and
+    [List.map f xs] otherwise: the search's one way to spread work over
+    a pool it may not have. *)
+
 val submit : t -> (unit -> unit) -> [ `Queued | `Full | `Closed ]
 (** [submit t request] queues [request] (FIFO) for the next free worker
     without blocking or running it on the calling thread, or refuses it:

@@ -29,26 +29,6 @@ let dominates a b =
   && a.downtime_fraction <= b.downtime_fraction
   && (Money.(a.cost < b.cost) || a.downtime_fraction < b.downtime_fraction)
 
-let pareto candidates =
-  let sorted =
-    List.sort
-      (fun a b ->
-        match Money.compare a.cost b.cost with
-        | 0 -> Float.compare a.downtime_fraction b.downtime_fraction
-        | c -> c)
-      candidates
-  in
-  (* Scan by increasing cost, keeping points that strictly improve
-     downtime over everything cheaper. *)
-  let rec scan best_downtime acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-        if c.downtime_fraction < best_downtime then
-          scan c.downtime_fraction (c :: acc) rest
-        else scan best_downtime acc rest
-  in
-  scan Float.infinity [] sorted
-
 let family t ~n_min_nominal =
   let d = t.design in
   let enum_settings =

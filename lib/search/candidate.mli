@@ -34,11 +34,6 @@ val dominates : t -> t -> bool
 (** [dominates a b]: [a] costs no more and is down no more than [b],
     and improves at least one of the two. *)
 
-val pareto : t list -> t list
-(** The Pareto frontier over (cost, downtime), sorted by increasing
-    cost (and strictly decreasing downtime). Of mutually equal points,
-    one survives. *)
-
 val family : t -> n_min_nominal:int -> string
 (** The paper's design-family tuple "(resource, setting…, n_extra,
     n_spare)" used to label Fig. 6 — [n_min_nominal] is the minimum

@@ -7,8 +7,28 @@ module Telemetry = Aved_telemetry.Telemetry
    spare-active set): the tier-model skeleton plus a downtime table
    keyed by the only remaining degrees of freedom, (n_active, n_min,
    n_spare) — exactly the parameter set the availability engines
-   consume. Entries live in domain-local storage: no locking, and each
-   search domain warms its own cache. *)
+   consume — packed into one int. Entries live in domain-local
+   storage: no locking, and each search domain warms its own cache. *)
+
+(* Each count takes 20 bits (n_active 22), so a key is one immediate
+   int and a lookup allocates nothing. The hash folds the three fields
+   into the low bits in OCaml, without the C call of [Hashtbl.hash]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash key = (key lxor (key lsr 20) lxor (key lsr 40)) land max_int
+end)
+
+let count_limit = 1 lsl 20
+
+let downtime_key ~n_active ~n_min ~n_spare =
+  if
+    n_active >= 4 * count_limit
+    || n_min >= count_limit
+    || n_spare >= count_limit
+  then invalid_arg "Eval_cache: resource count above 2^20"
+  else (((n_active lsl 20) lor n_min) lsl 20) lor n_spare
 
 type key = {
   tier_name : string;
@@ -31,8 +51,8 @@ type entry = {
      beyond (n, m, s) — so a combination that differs only in
      availability-neutral settings (say, a checkpoint interval) reuses
      downtimes computed under another. *)
-  downtime_spare : (int * int * int, float) Hashtbl.t;
-  downtime_nospare : (int * int * int, float) Hashtbl.t;
+  downtime_spare : float Itbl.t;
+  downtime_nospare : float Itbl.t;
   (* The spare-operational-mode fan-out of this combination, in
      [Resource.downward_closed_subsets] order, resolved lazily: the
      empty mode maps back to this entry itself. *)
@@ -96,7 +116,7 @@ type state = {
      entry creation, so the structural key is cheap in aggregate. *)
   downtimes :
     ( Model.Service.failure_scope * Avail.Tier_model.failure_class list,
-      (int * int * int, float) Hashtbl.t )
+      float Itbl.t )
     Hashtbl.t;
 }
 
@@ -136,7 +156,7 @@ let downtime_table state skel ~spares =
   match Hashtbl.find_opt state.downtimes key with
   | Some table -> table
   | None ->
-      let table = Hashtbl.create 32 in
+      let table = Itbl.create 32 in
       Hashtbl.add state.downtimes key table;
       table
 
@@ -231,24 +251,27 @@ let tier_cost entry ~n_active ~n_spare =
 let model entry ~n_active ~n_spare ~demand =
   Avail.Tier_model.Skeleton.instantiate entry.skel ~n_active ~n_spare ~demand
 
-(* Within a table the downtime is a pure function of this triple
+(* Within a table the downtime is a pure function of the triple
    (classes and scope are fixed by the table's pool key), and Engine A
    is deterministic, so the cached value is bitwise what a fresh
-   evaluation would produce. *)
-let downtime_fraction entry (m : Avail.Tier_model.t) =
+   evaluation would produce. The triple's n_min is the model's own
+   ([instantiate] derives it the same way), so a hit needs no model. *)
+let downtime entry ~n_active ~n_spare ~demand =
+  let n_min = Avail.Tier_model.Skeleton.n_min entry.skel ~n_active ~demand in
   let table =
-    if m.n_spare > 0 then entry.downtime_spare else entry.downtime_nospare
+    if n_spare > 0 then entry.downtime_spare else entry.downtime_nospare
   in
-  let key = (m.n_active, m.n_min, m.n_spare) in
-  match Hashtbl.find_opt table key with
-  | Some f ->
+  let key = downtime_key ~n_active ~n_min ~n_spare in
+  match Itbl.find table key with
+  | f ->
       if Telemetry.enabled () then Telemetry.Counter.incr tm_reused;
       f
-  | None ->
+  | exception Not_found ->
+      let m = model entry ~n_active ~n_spare ~demand in
       let f =
         Telemetry.with_span "search.eval.downtime" (fun () ->
             Avail.Evaluate.tier_downtime_fraction Avail.Evaluate.Analytic m)
       in
       if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;
-      Hashtbl.add table key f;
+      Itbl.add table key f;
       f

@@ -7,7 +7,7 @@
     performance curve, per-resource costs — is derived once per
     combination via {!Aved_avail.Tier_model.Skeleton} and kept in
     domain-local storage; Engine A downtime fractions are additionally
-    cached per (n, m, s) with plain integer keys. This is the search's
+    cached per (n, m, s) under one packed integer key. This is the search's
     only downtime cache: no lock, no process-wide table. Its reuse is
     counted by the telemetry counters [search.eval.downtime.fresh] and
     [search.eval.downtime.reused].
@@ -73,12 +73,16 @@ val model :
 (** Bitwise identical to [Tier_model.build] of the corresponding design,
     including raising the same [Rejected] exceptions. *)
 
-val downtime_fraction : entry -> Aved_avail.Tier_model.t -> float
-(** Engine A's downtime fraction for a model instantiated from this
-    entry, cached per (n_active, n_min, n_spare) — the full parameter
-    set of that engine beyond the entry's classes and scope. Engine A
-    is the one engine the search uses; Engines B and C validate
-    finished designs outside it. *)
+val downtime :
+  entry -> n_active:int -> n_spare:int -> demand:float option -> float
+(** Engine A's downtime fraction of the model {!model} would build at
+    the same arguments, raising the same [Rejected]. Cached per
+    (n_active, n_min, n_spare) — the full parameter set of that engine
+    beyond the entry's classes and scope — under one packed int key,
+    so a hit builds no model and allocates nothing. Engine A is the one
+    engine the search uses; Engines B and C validate finished designs
+    outside it. Raises [Invalid_argument] for a count of [2^20] or
+    more. *)
 
 val reset : unit -> unit
 (** Drop the calling domain's cache (tests and benchmarks). *)

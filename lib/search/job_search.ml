@@ -78,7 +78,8 @@ let option_limit config (option : Model.Service.resource_option) =
    settings; candidates are ranked by expected completion time. *)
 let kind config ~job_size ~max_time : candidate Option_search.kind =
   {
-    start = (fun option -> start_total ~option ~job_size ~max_time);
+    start =
+      (fun ~tier_name:_ option -> start_total ~option ~job_size ~max_time);
     limit = (fun option ~start:_ -> option_limit config option);
     actives =
       (fun option ~total ->
@@ -86,16 +87,15 @@ let kind config ~job_size ~max_time : candidate Option_search.kind =
         | [] -> None
         | actives -> Some (fun _ -> actives));
     demand = None;
+    measure_of =
+      (fun entry ~n_active ~n_spare downtime_fraction ->
+        Duration.seconds
+          (Avail.Evaluate.job_completion_time_of ~downtime_fraction
+             (Eval_cache.model entry ~n_active ~n_spare ~demand:None)
+             ~job_size));
     make =
-      (fun design model cost downtime_fraction ->
-        {
-          design;
-          model;
-          cost;
-          execution_time =
-            Avail.Evaluate.job_completion_time_of ~downtime_fraction model
-              ~job_size;
-        });
+      (fun design model cost seconds ->
+        { design; model; cost; execution_time = Duration.of_seconds seconds });
     design = (fun c -> c.design);
     cost = (fun c -> c.cost);
     measure = (fun c -> Duration.seconds c.execution_time);
@@ -110,38 +110,6 @@ let optimal ?pool config infra ~tier ~job_size ~max_time =
     ~bound:(Duration.seconds max_time)
     ~excess:(fun c -> Duration.sub c.execution_time max_time)
     ~tier
-
-let frontier ?pool config infra ~tier ~job_size ~max_time =
-  Telemetry.with_span "search.job.frontier" @@ fun () ->
-  let kind = kind config ~job_size ~max_time in
-  (* The frontier sweep is bounded like the enterprise one: a window of
-     extras beyond the first feasible count. *)
-  let kind =
-    {
-      kind with
-      limit =
-        (fun option ~start ->
-          Stdlib.min (option_limit config option)
-            (start + config.Search_config.max_extra_resources
-           + config.Search_config.max_spares));
-    }
-  in
-  let feasible =
-    List.filter
-      (fun c -> Duration.compare c.execution_time max_time <= 0)
-      (Option_search.sweep ?pool config infra kind ~tier)
-  in
-  let sorted = List.sort compare_total feasible in
-  let rec scan best_time acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-        let t = Duration.seconds c.execution_time in
-        if t < best_time then scan t (c :: acc) rest
-        else scan best_time acc rest
-  in
-  let front = scan Float.infinity [] sorted in
-  Search_metrics.observe_frontier (List.length front);
-  front
 
 let pp_candidate ppf c =
   Format.fprintf ppf "%a | cost %a/yr | exec %.2f h"

@@ -38,15 +38,4 @@ val optimal :
 (** Minimum-cost design whose expected completion time meets the bound
     (ties broken toward faster completion), or [None]. *)
 
-val frontier :
-  ?pool:Aved_parallel.Pool.t ->
-  Search_config.t ->
-  Aved_model.Infrastructure.t ->
-  tier:Aved_model.Service.tier ->
-  job_size:float ->
-  max_time:Duration.t ->
-  candidate list
-(** Pareto frontier over (cost, execution time) for designs able to
-    finish within [max_time], sorted by increasing cost. *)
-
 val pp_candidate : Format.formatter -> candidate -> unit

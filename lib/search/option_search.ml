@@ -7,13 +7,15 @@ module Incumbent = Aved_parallel.Incumbent
 module Telemetry = Aved_telemetry.Telemetry
 
 type 'c kind = {
-  start : Model.Service.resource_option -> int option;
+  start : tier_name:string -> Model.Service.resource_option -> int option;
   limit : Model.Service.resource_option -> start:int -> int;
   actives :
     Model.Service.resource_option ->
     total:int ->
     (Eval_cache.entry -> int list) option;
   demand : float option;
+  measure_of :
+    Eval_cache.entry -> n_active:int -> n_spare:int -> float -> float;
   make :
     Model.Design.tier_design -> Avail.Tier_model.t -> Money.t -> float -> 'c;
   design : 'c -> Model.Design.tier_design;
@@ -28,7 +30,7 @@ type keep = All | Best_within of float
 type 'c batch = {
   candidates : 'c list;
   least : float;
-  min_cost : Money.t option;
+  min_cost : float;
 }
 
 let with_pool ?pool config f =
@@ -51,21 +53,24 @@ let record kind ~tier c fate =
   }
 
 (* A design that never reached evaluation: pruned by the cost cap or
-   rejected by the model builder. *)
-let unevaluated ~tier design cost fate =
-  {
-    Provenance.tier;
-    design;
-    cost;
-    downtime = None;
-    execution_time = None;
-    fate;
-  }
-
-let min_cost a b =
-  match (a, b) with
-  | None, m | m, None -> m
-  | Some a, Some b -> Some (Money.min a b)
+   rejected by the model builder. Its design record, and the [fate]
+   of its cost, are built inside the thunk, so only a bound trail pays
+   for them. *)
+let unevaluated ~tier_name ~(option : Model.Service.resource_option)
+    ~settings ~spare_active entry ~n_active ~n_spare fate =
+  Provenance.note (fun () ->
+      let cost = Eval_cache.tier_cost entry ~n_active ~n_spare in
+      {
+        Provenance.tier = tier_name;
+        design =
+          Model.Design.tier_design ~tier_name ~resource:option.resource
+            ~n_active ~n_spare ~spare_active_components:spare_active
+            ~mechanism_settings:settings ();
+        cost;
+        downtime = None;
+        execution_time = None;
+        fate = fate cost;
+      })
 
 (* The least of [candidates] under [kind.compare], the earlier one on
    ties: a function of the candidate set whatever order the branches
@@ -86,114 +91,159 @@ let spare_modes config entry ~n_spare =
     [ ([], entry) ]
   else Eval_cache.spare_entries entry
 
-(* What one mechanism-settings combination contributes to a
-   [batch], filled in place by [eval_settings]. *)
-type 'c tally = {
-  mutable kept : 'c list;  (* newest first *)
-  mutable least_seen : float;
-  mutable cheapest : Money.t option;
-}
+(* The candidate of one design, built only for designs a search
+   keeps. *)
+let candidate kind ~tier_name ~(option : Model.Service.resource_option)
+    ~settings ~spare_active entry ~n_active ~n_spare measure =
+  kind.make
+    (Model.Design.tier_design ~tier_name ~resource:option.resource ~n_active
+       ~n_spare ~spare_active_components:spare_active
+       ~mechanism_settings:settings ())
+    (Eval_cache.model entry ~n_active ~n_spare ~demand:kind.demand)
+    (Eval_cache.tier_cost entry ~n_active ~n_spare)
+    measure
 
 (* One mechanism-settings combination at one total resource count:
-   every admissible active count and spare operational mode, each
-   evaluated candidate tallied in enumeration order. The tally's
-   [cheapest] is the minimum cost over ALL designs of the combination
-   — including those pruned by [cost_cap] or rejected by the model
+   every admissible active count and spare operational mode, in
+   enumeration order. Each design is evaluated as two floats, its cost
+   and its measure, with no design record, model or candidate built;
+   [evaluated] gets those that pass the cost cap and the model builder,
+   with the index of their spare mode. Designs costing more than
+   [cost_cap] are skipped without evaluation; equal cost is kept so
+   ties can be broken toward the better measure deterministically.
+   Returns the least cost over ALL designs of the combination —
+   including those pruned by [cost_cap] or rejected by the model
    builder — so the caller's stopping rule does not depend on how much
    work the cap happened to save (a prerequisite for
-   schedule-independent parallel search). Designs costing more than
-   [cost_cap] are skipped without evaluation; equal cost is kept so
-   ties can be broken toward the better measure deterministically. *)
+   schedule-independent parallel search). *)
 let eval_settings config kind ~tier_name
-    ~(option : Model.Service.resource_option) ~total ~actives ~keep ?cost_cap
-    (settings, base_entry) =
-  let tally = { kept = []; least_seen = Float.infinity; cheapest = None } in
+    ~(option : Model.Service.resource_option) ~total ~actives ?cost_cap
+    ~evaluated:on_evaluated (settings, base_entry) =
+  let cap =
+    match cost_cap with Some cap -> Money.to_float cap | None -> Float.infinity
+  in
+  let cheapest = ref Float.infinity in
   let generated = ref 0
   and evaluated = ref 0
   and pruned = ref 0
   and rejected = ref 0 in
+  let design ~n_active ~n_spare ~mode ~spare_active entry =
+    let skel = Eval_cache.skeleton entry in
+    (* [Skeleton.tier_cost]'s operations, without boxing the result. *)
+    let cost =
+      (float_of_int n_active
+      *. Money.to_float (Avail.Tier_model.Skeleton.active_cost skel))
+      +. float_of_int n_spare
+         *. Money.to_float (Avail.Tier_model.Skeleton.spare_cost skel)
+    in
+    incr generated;
+    if cost < !cheapest then cheapest := cost;
+    if cost > cap then begin
+      incr pruned;
+      unevaluated ~tier_name ~option ~settings ~spare_active entry ~n_active
+        ~n_spare (fun cost ->
+          Over_cost_cap { excess = Money.sub cost (Option.get cost_cap) })
+    end
+    else
+      (* Only genuine model rejections are caught and counted
+         ({!Aved_avail.Tier_model.Rejected}); an [Invalid_argument]
+         here is a programming error and propagates. *)
+      match
+        kind.measure_of entry ~n_active ~n_spare
+          (Eval_cache.downtime entry ~n_active ~n_spare ~demand:kind.demand)
+      with
+      | measure ->
+          incr evaluated;
+          on_evaluated ~mode ~spare_active entry ~n_active ~n_spare cost measure
+      | exception Avail.Tier_model.Rejected reason ->
+          incr rejected;
+          unevaluated ~tier_name ~option ~settings ~spare_active entry ~n_active
+            ~n_spare (fun _ -> Rejected_by_model { reason })
+  in
+  let rec modes ~n_active ~n_spare mode = function
+    | [] -> ()
+    | (spare_active, entry) :: rest ->
+        design ~n_active ~n_spare ~mode ~spare_active entry;
+        modes ~n_active ~n_spare (mode + 1) rest
+  in
   List.iter
     (fun n_active ->
       let n_spare = total - n_active in
-      List.iter
-        (fun (spare_active_components, entry) ->
-          let design =
-            Model.Design.tier_design ~tier_name ~resource:option.resource
-              ~n_active ~n_spare ~spare_active_components
-              ~mechanism_settings:settings ()
-          in
-          let cost = Eval_cache.tier_cost entry ~n_active ~n_spare in
-          incr generated;
-          (tally.cheapest <-
-             (match tally.cheapest with
-             | None -> Some cost
-             | Some m -> Some (Money.min m cost)));
-          match cost_cap with
-          | Some cap when not Money.(cost <= cap) ->
-              incr pruned;
-              Provenance.note (fun () ->
-                  unevaluated ~tier:tier_name design cost
-                    (Over_cost_cap { excess = Money.sub cost cap }))
-          | Some _ | None -> (
-              (* Only genuine model rejections are caught and counted
-                 ({!Aved_avail.Tier_model.Rejected}); an
-                 [Invalid_argument] here is a programming error and
-                 propagates. *)
-              match
-                let model =
-                  Eval_cache.model entry ~n_active ~n_spare
-                    ~demand:kind.demand
-                in
-                kind.make design model cost
-                  (Eval_cache.downtime_fraction entry model)
-              with
-              | c -> (
-                  incr evaluated;
-                  let m = kind.measure c in
-                  if m < tally.least_seen then tally.least_seen <- m;
-                  match keep with
-                  | All -> tally.kept <- c :: tally.kept
-                  | Best_within bound -> (
-                      if m <= bound then
-                        match tally.kept with
-                        | b :: _ when not (kind.compare c b < 0) -> ()
-                        | _ -> tally.kept <- [ c ]))
-              | exception Avail.Tier_model.Rejected reason ->
-                  incr rejected;
-                  Provenance.note (fun () ->
-                      unevaluated ~tier:tier_name design cost
-                        (Rejected_by_model { reason }))))
-        (spare_modes config base_entry ~n_spare))
+      modes ~n_active ~n_spare 0 (spare_modes config base_entry ~n_spare))
     (actives base_entry);
   Search_metrics.flush ~tier_name ~generated:!generated ~evaluated:!evaluated
     ~pruned:!pruned ~rejected:!rejected;
+  !cheapest
+
+(* What one mechanism-settings combination contributes to a [batch]:
+   every evaluated candidate, or the best one within the bound. The
+   latter builds a candidate only for a design that beats the kept
+   one on (cost, measure), or ties it exactly, when [kind.compare]
+   decides. *)
+type 'c tally = {
+  mutable kept : 'c list;  (* newest first *)
+  mutable least_seen : float;
+  mutable cheapest : float;
+}
+
+let tally_settings config kind ~tier_name ~option ~total ~actives ~keep
+    ?cost_cap ((settings, _) as pair) =
+  let tally =
+    { kept = []; least_seen = Float.infinity; cheapest = Float.infinity }
+  in
+  let build ~spare_active entry ~n_active ~n_spare m =
+    candidate kind ~tier_name ~option ~settings ~spare_active entry ~n_active
+      ~n_spare m
+  in
+  let evaluated ~mode:_ ~spare_active entry ~n_active ~n_spare cost m =
+    if m < tally.least_seen then tally.least_seen <- m;
+    match keep with
+    | All ->
+        tally.kept <-
+          build ~spare_active entry ~n_active ~n_spare m :: tally.kept
+    | Best_within bound -> (
+        if m <= bound then
+          match tally.kept with
+          | [] ->
+              tally.kept <- [ build ~spare_active entry ~n_active ~n_spare m ]
+          | b :: _ ->
+              let b_cost = Money.to_float (kind.cost b) in
+              if cost < b_cost || (cost = b_cost && m < kind.measure b) then
+                tally.kept <- [ build ~spare_active entry ~n_active ~n_spare m ]
+              else if cost = b_cost && m = kind.measure b then
+                let c = build ~spare_active entry ~n_active ~n_spare m in
+                if kind.compare c b < 0 then tally.kept <- [ c ])
+  in
+  tally.cheapest <-
+    eval_settings config kind ~tier_name ~option ~total ~actives ?cost_cap
+      ~evaluated pair;
   tally
 
 (* [f] over the option's mechanism-settings combinations, fanned out
-   over the pool when one with several domains is given. Cache entries
-   are domain-local: a worker gets only the settings and resolves the
+   over the pool when one is given. Cache entries are domain-local: a
+   task running on another domain than the caller's resolves the
    entry in its own cache. The results come back in settings order. *)
 let map_settings ?pool ~infra ~tier_name ~option f =
-  let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
-  match pool with
-  | Some pool when Pool.jobs pool > 1 && List.length pairs > 1 ->
-      Pool.map pool
-        (fun (settings, _) ->
-          f
-            ( settings,
-              Eval_cache.entry ~infra ~tier_name ~option ~settings
-                ~spare_active:[] ))
-        pairs
-  | Some _ | None -> List.map f pairs
+  let home = Domain.self () in
+  Pool.fan_out ?pool
+    (fun ((settings, _) as pair) ->
+      if Domain.self () = home then f pair
+      else
+        f
+          ( settings,
+            Eval_cache.entry ~infra ~tier_name ~option ~settings
+              ~spare_active:[] ))
+    (Eval_cache.settings_entries ~infra ~tier_name ~option)
 
 let enumerate ?pool config infra kind ~tier_name ~option ~total ~keep
     ?cost_cap () =
   match kind.actives option ~total with
-  | None -> { candidates = []; least = Float.infinity; min_cost = None }
+  | None ->
+      { candidates = []; least = Float.infinity; min_cost = Float.infinity }
   | Some actives ->
       let tallies =
         map_settings ?pool ~infra ~tier_name ~option
-          (eval_settings config kind ~tier_name ~option ~total ~actives ~keep
+          (tally_settings config kind ~tier_name ~option ~total ~actives ~keep
              ?cost_cap)
       in
       (* Merged in settings order, so parallel completion order cannot
@@ -210,7 +260,9 @@ let enumerate ?pool config infra kind ~tier_name ~option ~total ~keep
             (fun acc t -> if t.least_seen < acc then t.least_seen else acc)
             Float.infinity tallies;
         min_cost =
-          List.fold_left (fun acc t -> min_cost acc t.cheapest) None tallies;
+          List.fold_left
+            (fun acc t -> if t.cheapest < acc then t.cheapest else acc)
+            Float.infinity tallies;
       }
 
 (* Search one resource option. The incumbent logic is branch-local —
@@ -228,7 +280,7 @@ let enumerate ?pool config infra kind ~tier_name ~option ~total ~keep
 let search_option ?pool ?shared config infra kind ~bound ~excess ~tier_name
     ~option () =
   Telemetry.Counter.incr Search_metrics.options_searched;
-  match kind.start option with
+  match kind.start ~tier_name option with
   | None -> None
   | Some start ->
       let limit = kind.limit option ~start in
@@ -298,9 +350,8 @@ let search_option ?pool ?shared config infra kind ~bound ~excess ~tier_name
             (* All designs with more resources cost strictly more than
                the cheapest at this count; stop once even the cheapest
                possible design cannot beat the incumbent. *)
-            match batch.min_cost with
-            | None -> stop := true
-            | Some m -> if Money.(kind.cost b <= m) then stop := true)
+            if Money.to_float (kind.cost b) <= batch.min_cost then
+              stop := true)
         | None ->
             (* No feasible design yet: give up when adding resources no
                longer improves the best achievable measure. *)
@@ -348,24 +399,73 @@ let optimal ?pool config infra kind ~bound ~excess
   | Some _ | None -> ());
   best
 
-let sweep ?pool config infra kind ~(tier : Model.Service.tier) =
+(* A frontier design's place in its task: mechanism-settings index,
+   spare-mode index and active count, packed into one int. *)
+let n_active_bits = 21
+let mode_bits = 12
+
+let pack ~settings ~mode ~n_active =
+  if n_active >= 1 lsl n_active_bits || mode >= 1 lsl mode_bits then
+    invalid_arg "Option_search.frontier: design index out of range"
+  else (((settings lsl mode_bits) lor mode) lsl n_active_bits) lor n_active
+
+let frontier_inserted = Telemetry.Counter.make "search.frontier.inserted"
+
+let frontier ?pool config infra kind ~(tier : Model.Service.tier) =
   with_pool ?pool config @@ fun pool ->
+  let tier_name = tier.tier_name in
   let tasks =
-    List.concat_map
-      (fun option ->
-        match kind.start option with
-        | None -> []
-        | Some start ->
-            let limit = kind.limit option ~start in
-            List.init
-              (Stdlib.max 0 (limit - start + 1))
-              (fun i -> (option, start + i)))
-      tier.options
+    Array.of_list
+      (List.concat_map
+         (fun option ->
+           match kind.start ~tier_name option with
+           | None -> []
+           | Some start ->
+               let limit = kind.limit option ~start in
+               List.init
+                 (Stdlib.max 0 (limit - start + 1))
+                 (fun i -> (option, start + i)))
+         tier.options)
   in
-  List.concat
-    (Pool.map pool
-       (fun (option, total) ->
-         (enumerate config infra kind ~tier_name:tier.tier_name ~option ~total
-            ~keep:All ())
-           .candidates)
-       tasks)
+  (* One skyline per (option, total) task, fed in enumeration order,
+     merged in task order: the skyline of the whole enumeration. *)
+  let skyline task =
+    let sky = Skyline.create () in
+    let option, total = tasks.(task) in
+    (match kind.actives option ~total with
+    | None -> ()
+    | Some actives ->
+        List.iteri
+          (fun settings pair ->
+            ignore
+              (eval_settings config kind ~tier_name ~option ~total ~actives
+                 ~evaluated:(fun ~mode ~spare_active:_ _ ~n_active ~n_spare:_
+                                 cost measure ->
+                   Skyline.insert sky ~cost ~measure ~task
+                     ~design:(pack ~settings ~mode ~n_active))
+                 pair))
+          (Eval_cache.settings_entries ~infra ~tier_name ~option));
+    sky
+  in
+  let sky =
+    Skyline.merge
+      (Pool.fan_out ~pool skyline (List.init (Array.length tasks) Fun.id))
+  in
+  Telemetry.Counter.add frontier_inserted (Skyline.inserted sky);
+  (* Only the survivors get a design record, a model and a candidate. *)
+  List.init (Skyline.length sky) (fun i ->
+      let option, total = tasks.(Skyline.task sky i) in
+      let bits = Skyline.design sky i in
+      let n_active = bits land ((1 lsl n_active_bits) - 1) in
+      let mode = (bits lsr n_active_bits) land ((1 lsl mode_bits) - 1) in
+      let settings, base =
+        List.nth
+          (Eval_cache.settings_entries ~infra ~tier_name ~option)
+          (bits lsr (n_active_bits + mode_bits))
+      in
+      let n_spare = total - n_active in
+      let spare_active, entry =
+        List.nth (spare_modes config base ~n_spare) mode
+      in
+      candidate kind ~tier_name ~option ~settings ~spare_active entry ~n_active
+        ~n_spare (Skyline.measure sky i))

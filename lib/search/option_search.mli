@@ -9,7 +9,9 @@
     [config.explore_spare_modes]) and every mechanism-settings
     combination. A design is priced before it is evaluated, and a
     design strictly costlier than the incumbent is skipped without
-    evaluation. The search stops when no design at the current count
+    evaluation. A design is evaluated as two floats, its cost and its
+    measure; its design record, model and candidate are built only
+    when the search keeps it. The search stops when no design at the current count
     can beat the incumbent, or — while nothing feasible has been found
     — when growing the count fails twice in a row to improve the best
     measure. The two kinds of search differ only in what a {!kind}
@@ -27,9 +29,11 @@ module Duration = Aved_units.Duration
 module Money = Aved_units.Money
 
 type 'c kind = {
-  start : Aved_model.Service.resource_option -> int option;
-      (** The first total resource count worth searching, or [None]
-          when the option can never meet the requirement. *)
+  start :
+    tier_name:string -> Aved_model.Service.resource_option -> int option;
+      (** The first total resource count worth searching for the
+          option of tier [tier_name], or [None] when the option can
+          never meet the requirement. *)
   limit : Aved_model.Service.resource_option -> start:int -> int;
       (** The last total resource count searched. *)
   actives :
@@ -41,14 +45,18 @@ type 'c kind = {
           order. [None] when no design at [total] is admissible. *)
   demand : float option;
       (** The throughput the tier models are built for. *)
+  measure_of :
+    Eval_cache.entry -> n_active:int -> n_spare:int -> float -> float;
+      (** The measure of the design at the given counts from its
+          Engine A downtime fraction. May raise
+          {!Aved_avail.Tier_model.Rejected}. *)
   make :
     Aved_model.Design.tier_design ->
     Aved_avail.Tier_model.t ->
     Money.t ->
     float ->
     'c;
-      (** A candidate from its design, model, cost and downtime
-          fraction. May raise {!Aved_avail.Tier_model.Rejected}. *)
+      (** A candidate from its design, model, cost and measure. *)
   design : 'c -> Aved_model.Design.tier_design;
   cost : 'c -> Money.t;
   measure : 'c -> float;
@@ -68,12 +76,16 @@ type keep =
       (** Only the best candidate whose measure is at most the bound. *)
 
 type 'c batch = {
-  candidates : 'c list;  (** As {!keep} asks. *)
+  candidates : 'c list;
+      (** As {!keep} asks. [Best_within] builds a candidate only for a
+          design that beats the kept one on (cost, measure), or ties it
+          exactly. *)
   least : float;
       (** The least measure over every evaluated candidate. *)
-  min_cost : Money.t option;
+  min_cost : float;
       (** The least cost over every generated design, those pruned by
-          the cost cap or rejected by the model included. *)
+          the cost cap or rejected by the model included; infinite when
+          there is none. *)
 }
 
 val with_pool :
@@ -117,13 +129,20 @@ val optimal :
     Each option's search is traced as a ["search.option:<resource>"]
     span. *)
 
-val sweep :
+val frontier :
   ?pool:Aved_parallel.Pool.t ->
   Search_config.t ->
   Aved_model.Infrastructure.t ->
   'c kind ->
   tier:Aved_model.Service.tier ->
   'c list
-(** Every evaluated candidate of every option at every count from
-    [kind.start] to [kind.limit], without cost cap: the raw material
-    of a frontier. *)
+(** The (cost, measure) Pareto frontier of every design of every option
+    at every count from [kind.start] to [kind.limit], without cost cap,
+    by strictly rising cost and strictly falling measure; of designs
+    with equal cost and measure, the first in enumeration order. Each
+    design is evaluated as two floats and fed to a {!Skyline}, one per
+    (option, total) task, fanned out over the pool; only the points of
+    the merged skyline are built into candidates. The set and its
+    order are those of sorting every candidate stably by (cost,
+    measure) and keeping each strict improvement of the measure. Counts
+    the skyline's insertions in [search.frontier.inserted]. *)

@@ -108,11 +108,16 @@ let combine_frontiers ?pool frontiers ~budget_fraction =
           Incumbent.propose shared cost
         end
       in
-      let rec level idx cost_so_far up_so_far =
+      (* Returns the first feasible index of tier [idx], which is at
+         most [bound]: across siblings at the level above, cost rises
+         and downtime falls, so the running uptime only rises and the
+         first feasible index of the tier below only falls. Each
+         bisection is bounded by the previous sibling's answer. *)
+      let rec level idx cost_so_far up_so_far ~bound =
         let points = arrays.(idx) in
         let len = Array.length points in
         let cost i = cost_so_far +. Money.to_float points.(i).Candidate.cost in
-        let lo = ref 0 and hi = ref len in
+        let lo = ref 0 and hi = ref bound in
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
           if feasible idx up_so_far points.(mid) then hi := mid
@@ -125,21 +130,29 @@ let combine_frontiers ?pool frontiers ~budget_fraction =
           end
         end
         else begin
+          let below = ref (Array.length arrays.(idx + 1)) in
           let i = ref !lo in
           while !i < len && affordable idx (cost !i) do
             let c = points.(!i) in
             path.(idx) <- !i;
-            level (idx + 1) (cost !i)
-              (up_so_far *. (1. -. c.Candidate.downtime_fraction));
+            below :=
+              level (idx + 1) (cost !i)
+                (up_so_far *. (1. -. c.Candidate.downtime_fraction))
+                ~bound:!below;
             incr i
           done
-        end
+        end;
+        !lo
       in
       let c = arrays.(0).(first_idx) in
       let cost = Money.to_float c.Candidate.cost in
       if affordable 0 cost && feasible 0 1. c then
         if n = 1 then leaf cost
-        else level 1 cost (1. -. c.Candidate.downtime_fraction);
+        else
+          ignore
+            (level 1 cost
+               (1. -. c.Candidate.downtime_fraction)
+               ~bound:(Array.length arrays.(1)));
       if Telemetry.enabled () then begin
         Telemetry.Counter.add combine_visited !visited;
         Telemetry.Counter.add combos_tested !tested
@@ -147,11 +160,7 @@ let combine_frontiers ?pool frontiers ~budget_fraction =
       Option.map (fun path -> (!best_cost, path)) !best_path
     in
     let tasks = List.init (Array.length arrays.(0)) Fun.id in
-    let results =
-      match pool with
-      | Some pool when Pool.jobs pool > 1 -> Pool.map pool explore_from tasks
-      | Some _ | None -> List.map explore_from tasks
-    in
+    let results = Pool.fan_out ?pool explore_from tasks in
     List.fold_left
       (fun acc r ->
         match (acc, r) with
@@ -206,15 +215,10 @@ let note_budget_swaps tiers frontiers chosen ~budget_fraction =
 let enterprise_design ?pool config infra (service : Model.Service.t)
     ~throughput ~max_annual_downtime =
   let budget_fraction = Duration.years max_annual_downtime in
-  let run f l =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 -> Pool.map pool f l
-    | Some _ | None -> List.map f l
-  in
   (* Phase 1: each tier in isolation against the full requirement. *)
   let isolated =
     Telemetry.with_span "search.service.isolated" @@ fun () ->
-    run
+    Pool.fan_out ?pool
       (fun tier ->
         Tier_search.optimal ?pool config infra ~tier ~demand:throughput
           ~max_downtime:max_annual_downtime)
@@ -228,7 +232,7 @@ let enterprise_design ?pool config infra (service : Model.Service.t)
       (* Phase 2: refine with per-tier frontiers and exact combination. *)
       let frontiers =
         Telemetry.with_span "search.service.frontiers" @@ fun () ->
-        run
+        Pool.fan_out ?pool
           (fun tier ->
             Tier_search.frontier ?pool config infra ~tier ~demand:throughput)
           service.tiers

@@ -86,7 +86,7 @@ val combine_frontiers :
 
     Precondition: every frontier is sorted by strictly increasing cost
     and strictly decreasing downtime fraction, every fraction between
-    0 and 1 — the order {!Candidate.pareto} returns. On other input
+    0 and 1 — the order {!Tier_search.frontier} returns. On other input
     the answer is unspecified.
 
     Counts the partial combinations it checks in

@@ -4,14 +4,6 @@ module Model = Aved_model
 module Avail = Aved_avail
 module Telemetry = Aved_telemetry.Telemetry
 
-let option_minimum ~option ~settings ~demand =
-  List.filter_map
-    (fun s -> Avail.Tier_model.minimum_actives ~option ~settings:s ~demand)
-    settings
-  |> function
-  | [] -> None
-  | mins -> Some (List.fold_left Stdlib.min max_int mins)
-
 let max_total_for config start =
   Stdlib.min config.Search_config.max_total_resources
     (start + config.Search_config.max_extra_resources
@@ -26,13 +18,14 @@ let max_total_for config start =
 let kind config infra ~demand : Candidate.t Option_search.kind =
   {
     start =
-      (fun option ->
-        let resource =
-          Model.Infrastructure.resource_exn infra option.resource
-        in
-        option_minimum ~option
-          ~settings:(Eval_cache.settings_product infra resource)
-          ~demand);
+      (fun ~tier_name option ->
+        List.fold_left
+          (fun least (_, entry) ->
+            match (least, Eval_cache.minimum_actives entry ~demand) with
+            | None, n | n, None -> n
+            | Some a, Some b -> Some (Stdlib.min a b))
+          None
+          (Eval_cache.settings_entries ~infra ~tier_name ~option));
     limit = (fun _ ~start -> max_total_for config start);
     actives =
       (fun option ~total ->
@@ -49,6 +42,7 @@ let kind config infra ~demand : Candidate.t Option_search.kind =
                     (Stdlib.min total
                        (n_min + config.Search_config.max_extra_resources))));
     demand = Some demand;
+    measure_of = (fun _ ~n_active:_ ~n_spare:_ downtime -> downtime);
     make =
       (fun design model cost downtime_fraction ->
         { Candidate.design; model; cost; downtime_fraction });
@@ -74,10 +68,8 @@ let optimal ?pool config infra ~tier ~demand ~max_downtime =
 
 let frontier ?pool config infra ~tier ~demand =
   Telemetry.with_span "search.tier.frontier" @@ fun () ->
-  let pareto =
-    Candidate.pareto
-      (Option_search.sweep ?pool config infra (kind config infra ~demand)
-         ~tier)
+  let frontier =
+    Option_search.frontier ?pool config infra (kind config infra ~demand) ~tier
   in
-  Search_metrics.observe_frontier (List.length pareto);
-  pareto
+  Search_metrics.observe_frontier (List.length frontier);
+  frontier

@@ -26,13 +26,13 @@ val enumerate_total :
     ties can still resolve toward lower downtime). Respects the config
     caps (spares, extras, spare modes). *)
 
-val option_minimum :
-  option:Aved_model.Service.resource_option ->
-  settings:(string * Aved_model.Mechanism.setting) list list ->
+val kind :
+  Search_config.t ->
+  Aved_model.Infrastructure.t ->
   demand:float ->
-  int option
-(** The smallest resource count at which the option can meet [demand]
-    under at least one mechanism configuration. *)
+  Candidate.t Option_search.kind
+(** The enterprise kind of the option search at [demand], which
+    {!optimal} and {!frontier} run. *)
 
 val optimal :
   ?pool:Aved_parallel.Pool.t ->
@@ -56,6 +56,7 @@ val frontier :
   Candidate.t list
 (** The (cost, downtime) Pareto frontier of the tier at the given
     demand, over all options, counts within the config caps, splits,
-    spare modes and mechanism settings. Sorted by increasing cost.
-    Runs on [pool] when given, otherwise on a fresh pool of
-    [config.jobs] domains. *)
+    spare modes and mechanism settings, by strictly increasing cost and
+    strictly decreasing downtime: {!Option_search.frontier}'s skyline,
+    which builds candidates only for these points. Runs on [pool] when
+    given, otherwise on a fresh pool of [config.jobs] domains. *)

@@ -553,6 +553,65 @@ let test_json_serializer () =
       Alcotest.(check (float 0.)) ("round-trip " ^ s) f (float_of_string s))
     [ 0.1; 1. /. 3.; 1e-300; 98.26587 /. (365. *. 24. *. 60.) ]
 
+(* The serializer's rules before its fast paths, kept as the
+   reference: every float through "%.15g", falling back to "%.17g",
+   and every string character through its own escape. *)
+let reference_float f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let reference_string s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* Random bit patterns, random integers of either sign up to 2^53, and
+   the edges of the integer fast path. *)
+let gen_json_float =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Int64.float_of_bits int64;
+      map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+      map float_of_int (int_range (-100_000) 100_000);
+      oneofl
+        [
+          0.; -0.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 1.;
+          -.(1e15 +. 1.); 1e15 -. 0.5; 999999999999999.5; 2. ** 53.;
+          -.(2. ** 53.); (2. ** 53.) +. 2.; 5e-324; -5e-324;
+          Float.min_float; 2.2250738585072009e-308; Float.max_float;
+          Float.infinity; Float.neg_infinity; Float.nan; 0.5; -1.; 1e14;
+        ];
+    ]
+
+let json_float_matches_reference =
+  QCheck2.Test.make ~name:"float printing = %.15g/%.17g rule" ~count:5000
+    ~print:(fun f -> Printf.sprintf "%h" f)
+    gen_json_float
+    (fun f -> String.equal (Json.to_string (Json.Float f)) (reference_float f))
+
+let json_string_matches_reference =
+  QCheck2.Test.make ~name:"string escaping = per-character rule" ~count:2000
+    ~print:String.escaped
+    QCheck2.Gen.(
+      string_size ~gen:(frequency [ (6, printable); (1, char) ]) (int_range 0 40))
+    (fun s -> String.equal (Json.to_string (Json.String s)) (reference_string s))
+
 let test_explanation_json_shape () =
   let trail, winner = searched_optimal () in
   let tier =
@@ -695,6 +754,8 @@ let () =
         [
           Alcotest.test_case "nines" `Quick test_nines;
           Alcotest.test_case "json serializer" `Quick test_json_serializer;
+          QCheck_alcotest.to_alcotest json_float_matches_reference;
+          QCheck_alcotest.to_alcotest json_string_matches_reference;
           Alcotest.test_case "explanation json shape" `Quick
             test_explanation_json_shape;
           Alcotest.test_case "annotate step" `Quick test_annotate_step;

@@ -305,28 +305,22 @@ let exact_agrees_on_singleton_class =
       Float.abs (a -. b) <= 1e-10 +. (1e-8 *. a))
 
 (* ------------------------------------------------------------------ *)
-(* Candidates / Pareto *)
+(* Pareto frontier: the skyline the tier search builds its frontiers
+   with, over (cost, downtime) points *)
 
-let dummy_model =
-  {
-    Aved_avail.Tier_model.tier_name = "p";
-    n_active = 1;
-    n_min = 1;
-    n_spare = 0;
-    failure_scope = Service.Resource_scope;
-    classes = [];
-    loss_window = None;
-    effective_performance = 1.;
-  }
+module Skyline = Aved_search.Skyline
 
-let candidate cost downtime =
-  {
-    Aved_search.Candidate.design =
-      Design.tier_design ~tier_name:"p" ~resource:"r" ~n_active:1 ();
-    model = dummy_model;
-    cost = Money.of_float cost;
-    downtime_fraction = downtime;
-  }
+(* The skyline of [points] as (cost, downtime) pairs, by rising cost. *)
+let skyline points =
+  let sky = Skyline.create () in
+  List.iteri
+    (fun i (cost, downtime) ->
+      Skyline.insert sky ~cost ~measure:downtime ~task:0 ~design:i)
+    points;
+  List.init (Skyline.length sky) (fun i ->
+      (Skyline.cost sky i, Skyline.measure sky i))
+
+let dominates (ca, da) (cb, db) = ca <= cb && da <= db && (ca < cb || da < db)
 
 let pareto_no_dominance =
   QCheck2.Test.make ~name:"pareto frontier has no dominated members"
@@ -335,14 +329,9 @@ let pareto_no_dominance =
       list_size (int_range 0 40)
         (pair (float_range 0. 1000.) (float_range 0. 1.)))
     (fun points ->
-      let candidates = List.map (fun (c, d) -> candidate c d) points in
-      let frontier = Aved_search.Candidate.pareto candidates in
+      let frontier = skyline points in
       List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              a == b || not (Aved_search.Candidate.dominates a b))
-            frontier)
+        (fun a -> List.for_all (fun b -> not (dominates a b)) frontier)
         frontier)
 
 let pareto_covers_input =
@@ -353,16 +342,10 @@ let pareto_covers_input =
       list_size (int_range 1 40)
         (pair (float_range 0. 1000.) (float_range 0. 1.)))
     (fun points ->
-      let candidates = List.map (fun (c, d) -> candidate c d) points in
-      let frontier = Aved_search.Candidate.pareto candidates in
+      let frontier = skyline points in
       List.for_all
-        (fun (c : Aved_search.Candidate.t) ->
-          List.exists
-            (fun (f : Aved_search.Candidate.t) ->
-              Money.(f.cost <= c.cost)
-              && f.downtime_fraction <= c.downtime_fraction)
-            frontier)
-        candidates)
+        (fun (c, d) -> List.exists (fun (fc, fd) -> fc <= c && fd <= d) frontier)
+        points)
 
 (* ------------------------------------------------------------------ *)
 (* Mechanisms *)

@@ -132,6 +132,21 @@ let test_cost_monotone_in_requirement () =
   Alcotest.(check bool) "tighter limit costs at least as much" true
     (non_decreasing costs)
 
+(* The fewest resources of [option] that meet [demand] under some
+   mechanism settings, from the uncached model functions: where a tier
+   search's counts start. *)
+let first_total infra (option : Service.resource_option) ~demand =
+  let resource = Infrastructure.resource_exn infra option.resource in
+  List.fold_left
+    (fun least settings ->
+      match
+        (least, Aved_avail.Tier_model.minimum_actives ~option ~settings ~demand)
+      with
+      | None, n | n, None -> n
+      | Some a, Some b -> Some (Stdlib.min a b))
+    None
+    (Aved_search.Eval_cache.settings_product infra resource)
+
 let test_brute_force_equivalence () =
   (* Exhaustively enumerate the same bounded space and compare. *)
   let infra = infra () in
@@ -143,9 +158,7 @@ let test_brute_force_equivalence () =
   let all =
     List.concat_map
       (fun (option : Service.resource_option) ->
-        let resource = Infrastructure.resource_exn infra option.resource in
-        let settings = Aved_search.Eval_cache.settings_product infra resource in
-        match Tier_search.option_minimum ~option ~settings ~demand with
+        match first_total infra option ~demand with
         | None -> []
         | Some start ->
             List.concat_map
@@ -271,25 +284,6 @@ let test_job_infeasible () =
        ~job_size
        ~max_time:(Duration.of_minutes 1.)
     = None)
-
-let test_job_frontier () =
-  let frontier =
-    Job_search.frontier job_config (sci_infra ()) ~tier:(sci_tier ())
-      ~job_size ~max_time:(Duration.of_hours 300.)
-  in
-  Alcotest.(check bool) "non-empty" true (frontier <> []);
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "cost increases" true
-          Money.(a.Job_search.cost < b.Job_search.cost);
-        Alcotest.(check bool) "time decreases" true
-          (Duration.compare b.Job_search.execution_time
-             a.Job_search.execution_time
-          < 0);
-        check rest
-    | [ _ ] | [] -> ()
-  in
-  check frontier
 
 (* ------------------------------------------------------------------ *)
 (* Spare operational modes (paper §4.1): spares whose components run
@@ -632,10 +626,11 @@ let frontiers_sorted =
 
 (* The golden request (load 1000, 100 min/yr) reaches phase 2. The
    product scan checked 16 934 partial combinations for it; the
-   output-sensitive combination checks 5 947. The ceiling leaves room
-   for small changes to the frontiers, none for a return to the
-   product scan. *)
-let golden_combine_visited_ceiling = 7_000
+   output-sensitive combination checked 5 947, and 4 105 since each
+   bisection is bounded by its sibling's answer. The ceiling leaves
+   room for small changes to the frontiers, none for unbounded
+   bisections. *)
+let golden_combine_visited_ceiling = 5_000
 
 let test_golden_combine_visited () =
   let registry = Telemetry.create () in
@@ -656,6 +651,263 @@ let test_golden_combine_visited () =
   if visited > golden_combine_visited_ceiling then
     Alcotest.failf "combine.visited %d > ceiling %d" visited
       golden_combine_visited_ceiling
+
+(* ------------------------------------------------------------------ *)
+(* Skyline frontier *)
+
+module Skyline = Aved_search.Skyline
+module Option_search = Aved_search.Option_search
+module Provenance = Aved_search.Provenance
+
+(* The reference frontier the skyline replaces: sort stably by (cost,
+   measure), then keep each point that strictly improves the measure
+   over everything before it. *)
+let reference_pareto ~cost ~measure points =
+  let sorted =
+    List.stable_sort
+      (fun a b ->
+        match Float.compare (cost a) (cost b) with
+        | 0 -> Float.compare (measure a) (measure b)
+        | c -> c)
+      points
+  in
+  let rec scan best acc = function
+    | [] -> List.rev acc
+    | p :: rest ->
+        if measure p < best then scan (measure p) (p :: acc) rest
+        else scan best acc rest
+  in
+  scan Float.infinity [] sorted
+
+(* Up to 80 points on a 7 x 9 grid, so exact ties and equal costs are
+   common, with a few infinite and NaN measures; and the sizes of the
+   tasks the stream is split into. *)
+let gen_stream =
+  let open QCheck2.Gen in
+  let point =
+    pair
+      (map float_of_int (int_range 0 6))
+      (frequency
+         [
+           (12, map (fun k -> float_of_int k /. 8.) (int_range 0 8));
+           (1, return Float.infinity);
+           (1, return Float.nan);
+         ])
+  in
+  pair (list_size (int_range 0 80) point) (list_size (int_range 1 8) (int_range 0 20))
+
+let print_stream (points, _) =
+  String.concat " " (List.map (fun (c, m) -> Printf.sprintf "(%g,%g)" c m) points)
+
+(* [points] cut into consecutive tasks of the given sizes, the rest in
+   a last task. *)
+let split points sizes =
+  let rec go points sizes =
+    match (points, sizes) with
+    | [], _ -> []
+    | _, [] -> [ points ]
+    | _, size :: sizes ->
+        let task = List.filteri (fun i _ -> i < size) points in
+        task :: go (List.filteri (fun i _ -> i >= size) points) sizes
+  in
+  go points sizes
+
+(* The skyline of the stream, one skyline per task merged in task
+   order, as the indices of its points in the whole stream. *)
+let skyline_indices ?pool (points, sizes) =
+  let tasks = Array.of_list (split (List.mapi (fun i p -> (i, p)) points) sizes) in
+  let sky =
+    Skyline.merge
+      (Pool.fan_out ?pool
+         (fun task ->
+           let sky = Skyline.create () in
+           List.iter
+             (fun (i, (cost, measure)) ->
+               Skyline.insert sky ~cost ~measure ~task ~design:i)
+             tasks.(task);
+           sky)
+         (List.init (Array.length tasks) Fun.id))
+  in
+  List.init (Skyline.length sky) (Skyline.design sky)
+
+let skyline_property ?pool name =
+  QCheck2.Test.make ~name ~count:500 ~print:print_stream gen_stream
+    (fun ((points, _) as stream) ->
+      let expected =
+        List.map fst
+          (reference_pareto ~cost:(fun (_, (c, _)) -> c)
+             ~measure:(fun (_, (_, m)) -> m)
+             (List.mapi (fun i p -> (i, p)) points))
+      in
+      let got = skyline_indices ?pool stream in
+      got = expected
+      || QCheck2.Test.fail_reportf "skyline [%s], reference [%s]"
+           (String.concat " " (List.map string_of_int got))
+           (String.concat " " (List.map string_of_int expected)))
+
+let test_skyline_synthetic_sequential () =
+  QCheck2.Test.check_exn (skyline_property "skyline = sort and scan")
+
+let test_skyline_synthetic_pool () =
+  Pool.run ~jobs:2 @@ fun pool ->
+  QCheck2.Test.check_exn
+    (skyline_property ~pool "skyline = sort and scan, 2-domain pool")
+
+(* Every candidate of the tier at [demand], in the enumeration order of
+   the frontier search: options in order, totals rising. *)
+let every_candidate infra (tier : Service.tier) ~demand =
+  List.concat_map
+    (fun (option : Service.resource_option) ->
+      match first_total infra option ~demand with
+      | None -> []
+      | Some start ->
+          let limit =
+            Stdlib.min config.max_total_resources
+              (start + config.max_extra_resources + config.max_spares)
+          in
+          List.concat_map
+            (fun total ->
+              Tier_search.enumerate_total config infra
+                ~tier_name:tier.tier_name ~option ~demand ~total ())
+            (List.init (limit - start + 1) (fun i -> start + i)))
+    tier.options
+
+let same_candidate (a : Candidate.t) (b : Candidate.t) =
+  Design.compare_tier a.design b.design = 0
+  && Money.equal a.cost b.cost
+  && Int64.equal
+       (Int64.bits_of_float a.downtime_fraction)
+       (Int64.bits_of_float b.downtime_fraction)
+
+(* The e-commerce web, application and database frontiers at 50 loads
+   equal the reference frontier of every enumerated candidate. *)
+let ecommerce_frontier_property ?pool name =
+  let service = Aved.Experiments.ecommerce () in
+  let infra = infra () in
+  QCheck2.Test.make ~name ~count:50 ~print:string_of_float
+    QCheck2.Gen.(map Float.exp (float_range (Float.log 200.) (Float.log 4000.)))
+    (fun demand ->
+      List.for_all
+        (fun (tier : Service.tier) ->
+          let expected =
+            reference_pareto ~cost:(fun (c : Candidate.t) -> Money.to_float c.cost)
+              ~measure:(fun (c : Candidate.t) -> c.downtime_fraction)
+              (every_candidate infra tier ~demand)
+          in
+          let got = Tier_search.frontier ?pool config infra ~tier ~demand in
+          (List.length got = List.length expected
+          && List.for_all2 same_candidate got expected)
+          || QCheck2.Test.fail_reportf "%s tier at load %g: %d points, reference %d"
+               tier.tier_name demand (List.length got) (List.length expected))
+        service.tiers)
+
+let test_skyline_ecommerce_sequential () =
+  QCheck2.Test.check_exn
+    (ecommerce_frontier_property "e-commerce frontiers = sort and scan")
+
+let test_skyline_ecommerce_pool () =
+  Pool.run ~jobs:2 @@ fun pool ->
+  QCheck2.Test.check_exn
+    (ecommerce_frontier_property ~pool
+       "e-commerce frontiers = sort and scan, 2-domain pool")
+
+(* The frontier builds a candidate for its output points and for no
+   other design it generates. *)
+let test_frontier_builds_only_its_points () =
+  let infra = infra () in
+  List.iter
+    (fun (tier : Service.tier) ->
+      let built = ref 0 in
+      let kind = Tier_search.kind config infra ~demand:1000. in
+      let counting =
+        {
+          kind with
+          make =
+            (fun design model cost measure ->
+              incr built;
+              kind.make design model cost measure);
+        }
+      in
+      let registry = Telemetry.create () in
+      let frontier =
+        Telemetry.with_registry registry (fun () ->
+            Option_search.frontier config infra counting ~tier)
+      in
+      let generated =
+        Telemetry.Counter.read_by_name registry "search.candidates.generated"
+      in
+      Alcotest.(check int)
+        (tier.tier_name ^ ": candidates built") (List.length frontier) !built;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d designs generated for %d points" tier.tier_name
+           generated !built)
+        true
+        (tier.tier_name = "database" || generated > 4 * !built);
+      Alcotest.(check bool)
+        (tier.tier_name ^ ": same frontier as Tier_search.frontier")
+        true
+        (List.for_all2 same_candidate frontier
+           (Tier_search.frontier config infra ~tier ~demand:1000.)))
+    (Aved.Experiments.ecommerce ()).tiers
+
+(* A tier whose throughput peaks at 100 resources: at load 9990 the
+   active counts from 104 up deliver less than the load, so the model
+   builder rejects them. *)
+let peaked_tier () =
+  let service =
+    Aved_spec.Spec.service_of_string
+      "application=peaked\n\
+       tier=app\n\
+      \  resource=rC sizing=dynamic failurescope=resource \
+       nActive=[1-1000,+1]\n\
+      \    performance=200*n-n*n\n"
+  in
+  List.hd service.Service.tiers
+
+(* The Rejected_by_model records a frontier and an optimal search of
+   the peaked tier leave in a trail, in order, as "design | cost |
+   reason". *)
+let rejected_notes () =
+  let infra = infra () and tier = peaked_tier () in
+  let trail = Provenance.create ~capacity:100_000 () in
+  Provenance.with_trail trail (fun () ->
+      ignore (Tier_search.frontier config infra ~tier ~demand:9990.);
+      ignore
+        (Tier_search.optimal config infra ~tier ~demand:9990.
+           ~max_downtime:(Duration.of_minutes 30.)));
+  List.filter_map
+    (fun (r : Provenance.record) ->
+      match r.fate with
+      | Provenance.Rejected_by_model { reason } ->
+          Some
+            (Printf.sprintf "%s | %s | %s" (Provenance.describe r.design)
+               (Money.to_string r.cost) reason)
+      | _ -> None)
+    (Provenance.records trail ~tier:"app")
+
+(* Captured from the search that built every candidate and sorted them
+   into the frontier: the records, their order and their text must not
+   change. *)
+let expected_rejected_count = 32
+
+let expected_rejected_first =
+  [
+    "tier app: rC x104 active, 0 spare maintenanceA(level=bronze) | 490880 | \
+     Tier_model: tier app delivers 9984 < required 9990 with 104 resources";
+    "tier app: rC x104 active, 0 spare maintenanceA(level=silver) | 511680 | \
+     Tier_model: tier app delivers 9984 < required 9990 with 104 resources";
+  ]
+
+let expected_rejected_digest = "1dd9054ef86a98dd0ad8f0c17fba286e"
+
+let test_rejected_notes_unchanged () =
+  let notes = rejected_notes () in
+  Alcotest.(check int) "rejected records" expected_rejected_count
+    (List.length notes);
+  Alcotest.(check (list string)) "first records" expected_rejected_first
+    (List.filteri (fun i _ -> i < List.length expected_rejected_first) notes);
+  Alcotest.(check string) "every record, in order" expected_rejected_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" notes)))
 
 (* ------------------------------------------------------------------ *)
 (* Sensitivity *)
@@ -990,7 +1242,8 @@ let sweep registry infra =
   List.iter
     (fun (entry, m) ->
       let cached =
-        Eval_cache.downtime_fraction entry m
+        Eval_cache.downtime entry ~n_active:m.Aved_avail.Tier_model.n_active
+          ~n_spare:m.n_spare ~demand:(Some 300.)
       in
       let direct = Aved_avail.Analytic.downtime_fraction m in
       if Int64.bits_of_float cached <> Int64.bits_of_float direct then
@@ -1235,7 +1488,6 @@ let () =
             test_job_n_decreases_with_relaxation;
           Alcotest.test_case "cost monotone" `Quick test_job_cost_monotone;
           Alcotest.test_case "infeasible deadline" `Quick test_job_infeasible;
-          Alcotest.test_case "frontier" `Quick test_job_frontier;
         ] );
       ( "spare modes",
         [
@@ -1313,5 +1565,20 @@ let () =
           QCheck_alcotest.to_alcotest frontiers_sorted;
           Alcotest.test_case "golden request: visits under ceiling" `Quick
             test_golden_combine_visited;
+        ] );
+      ( "skyline",
+        [
+          Alcotest.test_case "synthetic streams = sort and scan, sequential"
+            `Quick test_skyline_synthetic_sequential;
+          Alcotest.test_case "synthetic streams = sort and scan, 2-domain pool"
+            `Quick test_skyline_synthetic_pool;
+          Alcotest.test_case "e-commerce tiers = sort and scan, sequential"
+            `Quick test_skyline_ecommerce_sequential;
+          Alcotest.test_case "e-commerce tiers = sort and scan, 2-domain pool"
+            `Quick test_skyline_ecommerce_pool;
+          Alcotest.test_case "candidates built only for frontier points"
+            `Quick test_frontier_builds_only_its_points;
+          Alcotest.test_case "explain: rejected-by-model records unchanged"
+            `Quick test_rejected_notes_unchanged;
         ] );
     ]
