@@ -24,7 +24,7 @@ let section title =
    One telemetry-instrumented run per figure kernel, one of the engine
    cross-check ("validate") and one of the e-commerce service designs
    ("enterprise"), and one of the e-commerce tier frontiers
-   ("frontiers"), written to BENCH_search.json (schema_version 7) for
+   ("frontiers"), written to BENCH_search.json (schema_version 8) for
    CI artifact upload and regression tracking. The first recorded
    run's per-figure wall times are carried forward verbatim as the
    "baseline" object on every subsequent run — a v1 file's "figures"
@@ -109,9 +109,10 @@ let json_validate_benchmark ~jobs =
    of requirements (loads × downtime budgets): the bench that reaches
    phase 2 of the enterprise search, the frontier combination. The
    timed pass runs at [jobs] domains; the counts come from a second,
-   one-domain pass with one registry per design, so they repeat
-   exactly. A design reached phase 2 when its combination checked at
-   least one partial combination. *)
+   one-domain pass, so they repeat exactly. A design reached phase 2
+   when it ran at least one round of the frontier combination;
+   [phase2_rounds] counts the rounds, and [evaluated] the designs whose
+   downtime the whole pass looked up. *)
 let json_enterprise_benchmark ~jobs ~minor_words =
   let infra = Aved.Experiments.infrastructure () in
   let service = Aved.Experiments.ecommerce () in
@@ -134,21 +135,26 @@ let json_enterprise_benchmark ~jobs ~minor_words =
   List.iter (design jobs) grid;
   let wall = Unix.gettimeofday () -. t0 in
   let words = minor_words () -. words0 in
-  let phase2, tested, visited =
+  let t = Telemetry.create () in
+  let counter = Telemetry.Counter.read_by_name t in
+  let phase2 =
     List.fold_left
-      (fun (phase2, tested, visited) point ->
-        let t = Telemetry.create () in
+      (fun phase2 point ->
+        let rounds = counter "search.service.phase2.rounds" in
         Telemetry.with_registry t (fun () -> design 1 point);
-        let v = Telemetry.Counter.read_by_name t "search.service.combine.visited" in
-        ( (if v > 0 then phase2 + 1 else phase2),
-          tested + Telemetry.Counter.read_by_name t "search.service.combos_tested",
-          visited + v ))
-      (0, 0, 0) grid
+        if counter "search.service.phase2.rounds" > rounds then phase2 + 1
+        else phase2)
+      0 grid
   in
   Printf.sprintf
     "{\"designs\": %d, \"wall_seconds\": %.6f, \"minor_words\": %.0f, \
-     \"phase2_designs\": %d, \"combos_tested\": %d, \"combine_visited\": %d}"
-    (List.length grid) wall words phase2 tested visited
+     \"phase2_designs\": %d, \"phase2_rounds\": %d, \"evaluated\": %d, \
+     \"combos_tested\": %d, \"combine_visited\": %d}"
+    (List.length grid) wall words phase2
+    (counter "search.service.phase2.rounds")
+    (counter "search.candidates.evaluated")
+    (counter "search.service.combos_tested")
+    (counter "search.service.combine.visited")
 
 (* Tier_search.frontier for the three e-commerce tiers over a fixed
    load grid, on one domain: the skyline frontier the enterprise
@@ -252,7 +258,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 7,\n";
+  Buffer.add_string buf "  \"schema_version\": 8,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->

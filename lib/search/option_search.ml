@@ -115,10 +115,11 @@ let candidate kind ~tier_name ~(option : Model.Service.resource_option)
    including those pruned by [cost_cap] or rejected by the model
    builder — so the caller's stopping rule does not depend on how much
    work the cap happened to save (a prerequisite for
-   schedule-independent parallel search). *)
+   schedule-independent parallel search). Skips count as pruned by
+   the incumbent, or as outside the window when [windowed]. *)
 let eval_settings config kind ~tier_name
     ~(option : Model.Service.resource_option) ~total ~actives ?cost_cap
-    ~evaluated:on_evaluated (settings, base_entry) =
+    ?(windowed = false) ~evaluated:on_evaluated (settings, base_entry) =
   let cap =
     match cost_cap with Some cap -> Money.to_float cap | None -> Float.infinity
   in
@@ -172,7 +173,9 @@ let eval_settings config kind ~tier_name
       modes ~n_active ~n_spare 0 (spare_modes config base_entry ~n_spare))
     (actives base_entry);
   Search_metrics.flush ~tier_name ~generated:!generated ~evaluated:!evaluated
-    ~pruned:!pruned ~rejected:!rejected;
+    ~pruned:(if windowed then 0 else !pruned)
+    ~windowed:(if windowed then !pruned else 0)
+    ~rejected:!rejected;
   !cheapest
 
 (* What one mechanism-settings combination contributes to a [batch]:
@@ -411,40 +414,65 @@ let pack ~settings ~mode ~n_active =
 
 let frontier_inserted = Telemetry.Counter.make "search.frontier.inserted"
 
-let frontier ?pool config infra kind ~(tier : Model.Service.tier) =
+(* Lower [a] to [v] unless it already holds less. *)
+let rec lower a v =
+  let current = Atomic.get a in
+  if v < current && not (Atomic.compare_and_set a current v) then lower a v
+
+let frontier ?pool ?cost_cap config infra kind ~(tier : Model.Service.tier) =
   with_pool ?pool config @@ fun pool ->
   let tier_name = tier.tier_name in
+  let cap =
+    match cost_cap with Some cap -> Money.to_float cap | None -> Float.infinity
+  in
+  let options = Array.of_list tier.options in
   let tasks =
     Array.of_list
-      (List.concat_map
-         (fun option ->
-           match kind.start ~tier_name option with
-           | None -> []
-           | Some start ->
-               let limit = kind.limit option ~start in
-               List.init
-                 (Stdlib.max 0 (limit - start + 1))
-                 (fun i -> (option, start + i)))
-         tier.options)
+      (List.concat
+         (List.mapi
+            (fun o option ->
+              match kind.start ~tier_name option with
+              | None -> []
+              | Some start ->
+                  let limit = kind.limit option ~start in
+                  List.init
+                    (Stdlib.max 0 (limit - start + 1))
+                    (fun i -> (o, start + i)))
+            tier.options))
   in
+  (* over.(o): the least total of option [o] seen whose cheapest design
+     costs more than the cap. An option's cheapest design never gets
+     cheaper as its total grows, so no later total holds a design
+     under the cap, and its task is skipped. Which totals are skipped
+     can depend on scheduling, the skyline cannot: they hold no point
+     under the cap. *)
+  let over = Array.map (fun _ -> Atomic.make max_int) options in
+  let cheapest = Float.Array.make (Array.length tasks) Float.infinity in
   (* One skyline per (option, total) task, fed in enumeration order,
      merged in task order: the skyline of the whole enumeration. *)
   let skyline task =
     let sky = Skyline.create () in
-    let option, total = tasks.(task) in
+    let o, total = tasks.(task) in
+    let option = options.(o) in
     (match kind.actives option ~total with
-    | None -> ()
-    | Some actives ->
+    | Some actives when total < Atomic.get over.(o) ->
         List.iteri
           (fun settings pair ->
-            ignore
-              (eval_settings config kind ~tier_name ~option ~total ~actives
-                 ~evaluated:(fun ~mode ~spare_active:_ _ ~n_active ~n_spare:_
-                                 cost measure ->
-                   Skyline.insert sky ~cost ~measure ~task
-                     ~design:(pack ~settings ~mode ~n_active))
-                 pair))
-          (Eval_cache.settings_entries ~infra ~tier_name ~option));
+            let least =
+              eval_settings config kind ~tier_name ~option ~total ~actives
+                ?cost_cap ~windowed:true
+                ~evaluated:(fun ~mode ~spare_active:_ _ ~n_active ~n_spare:_
+                                cost measure ->
+                  Skyline.insert sky ~cost ~measure ~task
+                    ~design:(pack ~settings ~mode ~n_active))
+                pair
+            in
+            if least < Float.Array.get cheapest task then
+              Float.Array.set cheapest task least)
+          (Eval_cache.settings_entries ~infra ~tier_name ~option);
+        let least = Float.Array.get cheapest task in
+        if cap < least && least < Float.infinity then lower over.(o) total
+    | Some _ | None -> ());
     sky
   in
   let sky =
@@ -454,7 +482,8 @@ let frontier ?pool config infra kind ~(tier : Model.Service.tier) =
   Telemetry.Counter.add frontier_inserted (Skyline.inserted sky);
   (* Only the survivors get a design record, a model and a candidate. *)
   List.init (Skyline.length sky) (fun i ->
-      let option, total = tasks.(Skyline.task sky i) in
+      let o, total = tasks.(Skyline.task sky i) in
+      let option = options.(o) in
       let bits = Skyline.design sky i in
       let n_active = bits land ((1 lsl n_active_bits) - 1) in
       let mode = (bits lsr n_active_bits) land ((1 lsl mode_bits) - 1) in

@@ -131,18 +131,29 @@ val optimal :
 
 val frontier :
   ?pool:Aved_parallel.Pool.t ->
+  ?cost_cap:Money.t ->
   Search_config.t ->
   Aved_model.Infrastructure.t ->
   'c kind ->
   tier:Aved_model.Service.tier ->
   'c list
 (** The (cost, measure) Pareto frontier of every design of every option
-    at every count from [kind.start] to [kind.limit], without cost cap,
-    by strictly rising cost and strictly falling measure; of designs
+    at every count from [kind.start] to [kind.limit] that costs at most
+    [cost_cap] (default: no cap), by strictly rising cost and strictly
+    falling measure; of designs
     with equal cost and measure, the first in enumeration order. Each
     design is evaluated as two floats and fed to a {!Skyline}, one per
     (option, total) task, fanned out over the pool; only the points of
     the merged skyline are built into candidates. The set and its
     order are those of sorting every candidate stably by (cost,
     measure) and keeping each strict improvement of the measure. Counts
-    the skyline's insertions in [search.frontier.inserted]. *)
+    the skyline's insertions in [search.frontier.inserted].
+
+    A point is beaten only by points costing no more, so the capped
+    frontier is exactly the prefix of the uncapped one up to
+    [cost_cap], the same candidates in the same order. A design
+    costing more than the cap is priced but not evaluated, and counted
+    in [search.candidates.outside_window]. An option's totals stop at
+    the first one whose cheapest design costs more than the cap: an
+    option's cheapest design never gets cheaper as its total grows,
+    the property {!optimal}'s stop rule rests on too. *)

@@ -13,6 +13,9 @@ let candidates_evaluated = Telemetry.Counter.make "search.candidates.evaluated"
 let candidates_pruned =
   Telemetry.Counter.make "search.candidates.pruned_by_incumbent"
 
+let candidates_windowed =
+  Telemetry.Counter.make "search.candidates.outside_window"
+
 let candidates_rejected =
   Telemetry.Counter.make "search.candidates.rejected_by_model"
 
@@ -35,6 +38,7 @@ type tier_counters = {
   tc_generated : Telemetry.Counter.h;
   tc_evaluated : Telemetry.Counter.h;
   tc_pruned : Telemetry.Counter.h;
+  tc_windowed : Telemetry.Counter.h;
   tc_rejected : Telemetry.Counter.h;
 }
 
@@ -55,6 +59,7 @@ let tier_counters tier_name =
           tc_generated = make "generated";
           tc_evaluated = make "evaluated";
           tc_pruned = make "pruned_by_incumbent";
+          tc_windowed = make "outside_window";
           tc_rejected = make "rejected_by_model";
         }
       in
@@ -63,7 +68,7 @@ let tier_counters tier_name =
 
 (* Flush one enumeration batch into the global counters and their
    per-tier variants. *)
-let flush ~tier_name ~generated ~evaluated ~pruned ~rejected =
+let flush ~tier_name ~generated ~evaluated ~pruned ~windowed ~rejected =
   if Telemetry.enabled () then begin
     let tier = tier_counters tier_name in
     let batch counter tier_counter v =
@@ -75,6 +80,7 @@ let flush ~tier_name ~generated ~evaluated ~pruned ~rejected =
     batch candidates_generated tier.tc_generated generated;
     batch candidates_evaluated tier.tc_evaluated evaluated;
     batch candidates_pruned tier.tc_pruned pruned;
+    batch candidates_windowed tier.tc_windowed windowed;
     batch candidates_rejected tier.tc_rejected rejected
   end
 

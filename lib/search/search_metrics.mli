@@ -16,6 +16,11 @@ val candidates_evaluated : Telemetry.Counter.h
 val candidates_pruned : Telemetry.Counter.h
 (** Designs skipped by the incumbent cost cap without evaluation. *)
 
+val candidates_windowed : Telemetry.Counter.h
+(** Designs a capped frontier priced above its cost cap and skipped
+    without evaluation: outside the cost window phase 2 of the
+    enterprise search asks for. *)
+
 val candidates_rejected : Telemetry.Counter.h
 (** Designs the model builder rejected as structurally invalid. *)
 
@@ -34,6 +39,7 @@ val flush :
   generated:int ->
   evaluated:int ->
   pruned:int ->
+  windowed:int ->
   rejected:int ->
   unit
 (** Add one enumeration batch to the global counters and their

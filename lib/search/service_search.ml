@@ -7,6 +7,7 @@ module Telemetry = Aved_telemetry.Telemetry
 
 let combos_tested = Telemetry.Counter.make "search.service.combos_tested"
 let combine_visited = Telemetry.Counter.make "search.service.combine.visited"
+let phase2_rounds = Telemetry.Counter.make "search.service.phase2.rounds"
 
 type tier_outcome = {
   candidate : Candidate.t;
@@ -212,6 +213,81 @@ let note_budget_swaps tiers frontiers chosen ~budget_fraction =
         frontier)
     frontiers
 
+(* Every tier's frontier at [throughput], capped per tier by [caps]
+   ([None]: uncapped), fanned out over the tiers. *)
+let tier_frontiers ?pool config infra (service : Model.Service.t) ~throughput
+    caps =
+  Telemetry.with_span "search.service.frontiers" @@ fun () ->
+  Pool.fan_out ?pool
+    (fun (tier, cost_cap) ->
+      Tier_search.frontier ?pool ?cost_cap config infra ~tier
+        ~demand:throughput)
+    (List.combine service.tiers caps)
+
+(* One round of phase 2: the combination of [frontiers]. *)
+let combine_round ?pool frontiers ~budget_fraction =
+  Telemetry.Counter.incr phase2_rounds;
+  Telemetry.with_span "search.service.combine" @@ fun () ->
+  combine_frontiers ?pool frontiers ~budget_fraction
+
+(* The window: the first cost bound C over the sum of the phase-1
+   optima, and how often C doubles before the full frontiers decide. A
+   count, not a bound on C, so that optima costing nothing end the
+   rounds too. *)
+let window_start = 1.05
+let window_doublings = 1
+
+(* The answer's cost, summed as [combine_frontiers] sums it. *)
+let summed_cost candidates =
+  List.fold_left
+    (fun acc (c : Candidate.t) -> acc +. Money.to_float c.cost)
+    0. candidates
+
+(* Phase 2 on frontiers capped to the cost window that can hold the
+   answer (see the interface): [Some] answer, or [None] when the
+   window cannot decide and the full frontiers must. [optima] are the
+   phase-1 optima, tier by tier. *)
+let windowed_design ?pool config infra service ~throughput ~budget_fraction
+    optima =
+  let lo =
+    Array.of_list
+      (List.map (fun (c : Candidate.t) -> Money.to_float c.cost) optima)
+  in
+  let n = Array.length lo in
+  let sum_lo = Array.fold_left ( +. ) 0. lo in
+  (* Tier [i]'s cap under bound [c]: [c] less the other tiers' optima,
+     plus the rounding slack of these sums and of the answer's. *)
+  let cap c i =
+    let others = ref 0. in
+    Array.iteri (fun j lo_j -> if j <> i then others := !others +. lo_j) lo;
+    Money.of_float
+      (c -. !others +. (float_of_int (4 * (n + 1)) *. epsilon_float *. c))
+  in
+  (* A point cheaper than its tier's optimum that the combination's
+     budget test could still pass: [lo] bounds no combination then. *)
+  let escapes frontier lo_i =
+    let rec scan = function
+      | (p : Candidate.t) :: rest when Money.to_float p.cost < lo_i ->
+          1. -. (1. -. p.downtime_fraction) <= budget_fraction || scan rest
+      | _ -> false
+    in
+    scan frontier
+  in
+  let rec round c ~doublings =
+    let frontiers =
+      tier_frontiers ?pool config infra service ~throughput
+        (List.init n (fun i -> Some (cap c i)))
+    in
+    if List.exists2 escapes frontiers (Array.to_list lo) then None
+    else
+      match combine_round ?pool frontiers ~budget_fraction with
+      | Some chosen when summed_cost chosen <= c -> Some chosen
+      | Some _ | None ->
+          if doublings = 0 then None
+          else round (2. *. c) ~doublings:(doublings - 1)
+  in
+  round (window_start *. sum_lo) ~doublings:window_doublings
+
 let enterprise_design ?pool config infra (service : Model.Service.t)
     ~throughput ~max_annual_downtime =
   let budget_fraction = Duration.years max_annual_downtime in
@@ -229,28 +305,31 @@ let enterprise_design ?pool config infra (service : Model.Service.t)
     if series_downtime_fraction candidates <= budget_fraction then
       Some (enterprise_report ~service_name:service.service_name candidates)
     else begin
-      (* Phase 2: refine with per-tier frontiers and exact combination. *)
-      let frontiers =
-        Telemetry.with_span "search.service.frontiers" @@ fun () ->
-        Pool.fan_out ?pool
-          (fun tier ->
-            Tier_search.frontier ?pool config infra ~tier ~demand:throughput)
-          service.tiers
+      (* Phase 2: per-tier frontiers and their exact combination, in
+         the cost window when no trail is bound. *)
+      let windowed =
+        if Provenance.enabled () then None
+        else
+          windowed_design ?pool config infra service ~throughput
+            ~budget_fraction candidates
       in
-      if List.exists (fun f -> f = []) frontiers then None
-      else begin
-        let chosen =
-          Telemetry.with_span "search.service.combine" @@ fun () ->
-          combine_frontiers ?pool frontiers ~budget_fraction
-        in
-        (match chosen with
-        | Some chosen when Provenance.enabled () ->
-            note_budget_swaps service.tiers frontiers chosen ~budget_fraction
-        | Some _ | None -> ());
-        Option.map
-          (enterprise_report ~service_name:service.service_name)
-          chosen
-      end
+      let chosen =
+        match windowed with
+        | Some _ -> windowed
+        | None ->
+            let frontiers =
+              tier_frontiers ?pool config infra service ~throughput
+                (List.map (fun _ -> None) service.tiers)
+            in
+            let chosen = combine_round ?pool frontiers ~budget_fraction in
+            (match chosen with
+            | Some chosen when Provenance.enabled () ->
+                note_budget_swaps service.tiers frontiers chosen
+                  ~budget_fraction
+            | Some _ | None -> ());
+            chosen
+      in
+      Option.map (enterprise_report ~service_name:service.service_name) chosen
     end
   end
   else None

@@ -9,6 +9,29 @@
     of the paper's "incrementally more aggressive per-tier
     requirements" refinement.
 
+    Phase 2 searches only the cost window that can hold the answer
+    when no provenance trail is bound. A point of a feasible
+    combination meets the budget alone, since the series downtime is
+    at least each tier's, so it costs at least its tier's phase-1
+    optimum [lo_i]; in a combination costing at most [C], tier [i]'s
+    point then costs at most [C − Σ_{j≠i} lo_j]. Starting at
+    [C = 1.05·Σ lo_i], each round caps every tier's frontier there
+    (plus a few ulps of slack for the rounding of these sums and of
+    the answer's), combines the capped frontiers, and accepts the
+    answer when its cost, summed as {!combine_frontiers} sums it, is at
+    most [C]; otherwise [C] doubles, once. After that second round the
+    full frontiers decide. The window is exact: a capped frontier is the
+    prefix of the full one up to the cap (a point is beaten only by
+    points costing no more), so the combination sees the same points
+    at the same indices and breaks ties the same way. One rounding case
+    falls back to the full frontiers: a point of a feasible combination
+    passes [1 − (1 − d_i) ≤ budget] in floats but need not pass
+    [d_i ≤ budget], phase 1's test, so a capped frontier holding a
+    point cheaper than [lo_i] that passes the former leaves [lo_i] no
+    bound. With a trail bound ([explain]), phase 2 combines the full
+    frontiers, whose cheaper points its budget-swap records cite. The
+    rounds are counted in [search.service.phase2.rounds].
+
     The combination ({!combine_frontiers}) is output-sensitive: it
     walks the product of the frontiers depth first, tier by tier, and
     uses the order every frontier has (cost strictly rising, downtime

@@ -66,10 +66,13 @@ let optimal ?pool config infra ~tier ~demand ~max_downtime =
     ~excess:(fun c -> Duration.sub (Candidate.downtime c) max_downtime)
     ~tier
 
-let frontier ?pool config infra ~tier ~demand =
+let frontier ?pool ?cost_cap config infra ~tier ~demand =
   Telemetry.with_span "search.tier.frontier" @@ fun () ->
   let frontier =
-    Option_search.frontier ?pool config infra (kind config infra ~demand) ~tier
+    Option_search.frontier ?pool ?cost_cap config infra
+      (kind config infra ~demand) ~tier
   in
-  Search_metrics.observe_frontier (List.length frontier);
+  (* The frontier counters count full frontiers only. *)
+  if Option.is_none cost_cap then
+    Search_metrics.observe_frontier (List.length frontier);
   frontier

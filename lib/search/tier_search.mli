@@ -49,6 +49,7 @@ val optimal :
 
 val frontier :
   ?pool:Aved_parallel.Pool.t ->
+  ?cost_cap:Money.t ->
   Search_config.t ->
   Aved_model.Infrastructure.t ->
   tier:Aved_model.Service.tier ->
@@ -58,5 +59,9 @@ val frontier :
     demand, over all options, counts within the config caps, splits,
     spare modes and mechanism settings, by strictly increasing cost and
     strictly decreasing downtime: {!Option_search.frontier}'s skyline,
-    which builds candidates only for these points. Runs on [pool] when
-    given, otherwise on a fresh pool of [config.jobs] domains. *)
+    which builds candidates only for these points. With [cost_cap], the
+    prefix of that frontier up to the cap, searched without evaluating
+    a design that costs more; only uncapped frontiers count in
+    [search.frontiers.computed] and [search.frontier.size]. Runs on
+    [pool] when given, otherwise on a fresh pool of [config.jobs]
+    domains. *)

@@ -626,11 +626,12 @@ let frontiers_sorted =
 
 (* The golden request (load 1000, 100 min/yr) reaches phase 2. The
    product scan checked 16 934 partial combinations for it; the
-   output-sensitive combination checked 5 947, and 4 105 since each
-   bisection is bounded by its sibling's answer. The ceiling leaves
+   output-sensitive combination checked 5 947, 4 105 since each
+   bisection is bounded by its sibling's answer, and 659 on the
+   frontiers capped to the phase-2 cost window. The ceiling leaves
    room for small changes to the frontiers, none for unbounded
-   bisections. *)
-let golden_combine_visited_ceiling = 5_000
+   bisections or full frontiers. *)
+let golden_combine_visited_ceiling = 800
 
 let test_golden_combine_visited () =
   let registry = Telemetry.create () in
@@ -1458,6 +1459,252 @@ let test_search_cost_independent_of_range_width () =
       "minor words %.0f at [1-1000,+1] vs %.0f at [1-100000,+1] (%.2fx)"
       narrow_words wide_words ratio
 
+(* ------------------------------------------------------------------ *)
+(* Phase-2 cost window *)
+
+let gen_load =
+  QCheck2.Gen.(map Float.exp (float_range (Float.log 200.) (Float.log 4000.)))
+
+(* A capped frontier is the prefix of the full one up to the cap. The
+   caps: a frontier point's exact cost, one unit either side of it,
+   one unit below the cheapest point, and the largest float (Money
+   holds no infinity). *)
+let capped_prefix_property ?pool name =
+  let service = Aved.Experiments.ecommerce () in
+  let infra = infra () in
+  QCheck2.Test.make ~name ~count:30
+    ~print:(fun (load, k) -> Printf.sprintf "load %g, point %d" load k)
+    QCheck2.Gen.(pair gen_load (int_bound 1000))
+    (fun (demand, k) ->
+      List.for_all
+        (fun (tier : Service.tier) ->
+          let full = Tier_search.frontier ?pool config infra ~tier ~demand in
+          let cost_of (c : Candidate.t) = Money.to_float c.cost in
+          let at = cost_of (List.nth full (k mod List.length full)) in
+          List.for_all
+            (fun cap ->
+              let expected = List.filter (fun c -> cost_of c <= cap) full in
+              let got =
+                Tier_search.frontier ?pool ~cost_cap:(Money.of_float cap) config
+                  infra ~tier ~demand
+              in
+              (List.length got = List.length expected
+              && List.for_all2 same_candidate got expected)
+              || QCheck2.Test.fail_reportf
+                   "%s tier at load %g, cap %.17g: %d points, prefix %d"
+                   tier.tier_name demand cap (List.length got)
+                   (List.length expected))
+            [
+              at; at -. 1.; at +. 1.; cost_of (List.hd full) -. 1.;
+              Float.max_float;
+            ])
+        service.tiers)
+
+let test_capped_prefix_sequential () =
+  QCheck2.Test.check_exn
+    (capped_prefix_property "capped frontier = prefix of the full one")
+
+let test_capped_prefix_pool () =
+  Pool.run ~jobs:2 @@ fun pool ->
+  QCheck2.Test.check_exn
+    (capped_prefix_property ~pool
+       "capped frontier = prefix of the full one, 2-domain pool")
+
+(* Per option, the cheapest design at total t never exceeds the
+   cheapest at t + 1. The optimal search stops on it, and so do a
+   capped frontier's totals. A cap of zero prices every design and
+   evaluates none. *)
+let cheapest_monotone_in_total =
+  let service = Aved.Experiments.ecommerce () in
+  let infra = infra () in
+  QCheck2.Test.make ~name:"cheapest design never falls as the total grows"
+    ~count:30 ~print:string_of_float gen_load (fun demand ->
+      let kind = Tier_search.kind config infra ~demand in
+      List.for_all
+        (fun (tier : Service.tier) ->
+          let tier_name = tier.tier_name in
+          List.for_all
+            (fun (option : Service.resource_option) ->
+              match kind.start ~tier_name option with
+              | None -> true
+              | Some start ->
+                  let cheapest total =
+                    (Option_search.enumerate config infra kind ~tier_name
+                       ~option ~total ~keep:All ~cost_cap:Money.zero ())
+                      .min_cost
+                  in
+                  List.for_all
+                    (fun total ->
+                      cheapest total <= cheapest (total + 1)
+                      || QCheck2.Test.fail_reportf
+                           "%s tier, %s at load %g: %.17g at %d, %.17g at %d"
+                           tier_name option.resource demand (cheapest total)
+                           total
+                           (cheapest (total + 1))
+                           (total + 1))
+                    (List.init
+                       (kind.limit option ~start - start)
+                       (fun i -> start + i)))
+            tier.options)
+        service.tiers)
+
+(* The e-commerce design as the wire API's JSON, from phase 1 and,
+   when it is needed, the combination of the full tier frontiers: the
+   search without the cost window. *)
+let full_frontier_design ?pool ?(config = config) infra (service : Service.t)
+    (load, budget) =
+  let max_downtime = Duration.of_minutes budget in
+  let budget_fraction = Duration.years max_downtime in
+  let isolated =
+    List.map
+      (fun tier ->
+        Tier_search.optimal ?pool config infra ~tier ~demand:load ~max_downtime)
+      service.tiers
+  in
+  let chosen =
+    if not (List.for_all Option.is_some isolated) then None
+    else
+      let candidates = List.filter_map Fun.id isolated in
+      if Service_search.series_downtime_fraction candidates <= budget_fraction
+      then Some candidates
+      else
+        Service_search.combine_frontiers ?pool
+          (List.map
+             (fun tier ->
+               Tier_search.frontier ?pool config infra ~tier ~demand:load)
+             service.tiers)
+          ~budget_fraction
+  in
+  Option.map
+    (fun (candidates : Candidate.t list) ->
+      {
+        Service_search.design =
+          Design.make ~service_name:service.service_name
+            ~tiers:(List.map (fun (c : Candidate.t) -> c.design) candidates);
+        cost =
+          Money.sum (List.map (fun (c : Candidate.t) -> c.cost) candidates);
+        downtime =
+          Some
+            (Duration.of_years
+               (Service_search.series_downtime_fraction candidates));
+        execution_time = None;
+      })
+    chosen
+  |> Aved_api.Api.design_result_of_report
+  |> Aved_api.Api.design_result_to_json
+  |> Aved_api.Api.Json.to_string
+
+(* The design and the phase-2 rounds it took. *)
+let windowed_design ?pool ?(config = config) infra service (load, budget) =
+  let registry = Telemetry.create () in
+  let report =
+    Telemetry.with_registry registry @@ fun () ->
+    Service_search.design ?pool config infra service
+      (Requirements.enterprise ~throughput:load
+         ~max_annual_downtime:(Duration.of_minutes budget))
+  in
+  ( Aved_api.Api.design_result_of_report report
+    |> Aved_api.Api.design_result_to_json
+    |> Aved_api.Api.Json.to_string,
+    Telemetry.Counter.read_by_name registry "search.service.phase2.rounds" )
+
+(* Requests whose answer costs more than the first window: phase 2
+   needs a second round for them (found by the rounds counter over
+   3 000 seeded requests). *)
+let widening_requests =
+  [ (229.74968478087953, 146.955662951547);
+    (1475.8689782573372, 180.72497269409661) ]
+
+(* The windowed phase 2 gives the same answer as the full frontiers,
+   over random loads in 200-4000 and budgets in 5-500 min/yr, and on
+   the requests that widen the window. *)
+let window_equivalence ?pool () =
+  let service = Aved.Experiments.ecommerce () in
+  let infra = infra () in
+  List.iter
+    (fun request ->
+      let got, rounds = windowed_design ?pool infra service request in
+      if rounds < 2 then
+        Alcotest.failf "load %.17g, %.17g min/yr: %d phase-2 rounds"
+          (fst request) (snd request) rounds;
+      Alcotest.(check string)
+        "widened window: same answer"
+        (full_frontier_design ?pool infra service request)
+        got)
+    widening_requests;
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"windowed phase 2 = full frontiers" ~count:150
+       ~print:(fun (load, budget) ->
+         Printf.sprintf "load %.17g, %.17g min/yr" load budget)
+       QCheck2.Gen.(
+         pair gen_load
+           (map Float.exp (float_range (Float.log 5.) (Float.log 500.))))
+       (fun request ->
+         let got, _ = windowed_design ?pool infra service request in
+         let expected = full_frontier_design ?pool infra service request in
+         got = expected
+         || QCheck2.Test.fail_reportf "windowed %s, full frontiers %s" got
+              expected))
+
+let test_window_equivalence_sequential () = window_equivalence ()
+
+(* The e-commerce infrastructure with free components and free bronze
+   maintenance. With no extra resources and no spares, every tier's
+   phase-1 optimum costs nothing at load 1000 and 1000 min/yr, but
+   the answer does not: the window starts at C = 0, where doubling
+   cannot widen it. *)
+let test_window_free_optima () =
+  let infra =
+    Aved_spec.Spec.infrastructure_of_string
+      (List.fold_left
+         (fun spec (sub, by) -> replace_all ~sub ~by spec)
+         Aved.Experiments.infrastructure_spec
+         [
+           ("cost([inactive,active])=[2400 2640]", "cost=0");
+           ("cost([inactive,active])=[85000 93500]", "cost=0");
+           ("cost([inactive,active])=[0 200]", "cost=0");
+           ("cost([inactive,active])=[0 1700]", "cost=0");
+           ("cost([inactive,active])=[0 2000]", "cost=0");
+           ("cost([inactive,active])=[0 20000]", "cost=0");
+           ("cost(level)=[380 580 760 1500]", "cost(level)=[0 580 760 1500]");
+           ( "cost(level)=[10100 12600 15800 25300]",
+             "cost(level)=[0 12600 15800 25300]" );
+         ])
+  in
+  let config = { config with max_extra_resources = 0; max_spares = 0 } in
+  let service = Aved.Experiments.ecommerce () in
+  let request = (1000., 1000.) in
+  let max_downtime = Duration.of_minutes (snd request) in
+  List.iter
+    (fun tier ->
+      match
+        Tier_search.optimal config infra ~tier ~demand:(fst request)
+          ~max_downtime
+      with
+      | Some c ->
+          Alcotest.(check (float 0.)) "free phase-1 optimum" 0.
+            (Money.to_float c.cost)
+      | None -> Alcotest.fail "expected a phase-1 optimum")
+    service.tiers;
+  (match
+     Service_search.design config infra service
+       (Requirements.enterprise ~throughput:(fst request)
+          ~max_annual_downtime:max_downtime)
+   with
+  | Some r ->
+      Alcotest.(check bool) "the answer costs something" true
+        (Money.to_float r.cost > 0.)
+  | None -> Alcotest.fail "expected a design");
+  let got, rounds = windowed_design ~config infra service request in
+  Alcotest.(check bool) "reaches phase 2" true (rounds >= 1);
+  Alcotest.(check string)
+    "same answer as the full frontiers"
+    (full_frontier_design ~config infra service request)
+    got
+
+let test_window_equivalence_pool () =
+  Pool.run ~jobs:2 @@ fun pool -> window_equivalence ~pool ()
+
 let () =
   Alcotest.run "search"
     [
@@ -1580,5 +1827,20 @@ let () =
             `Quick test_frontier_builds_only_its_points;
           Alcotest.test_case "explain: rejected-by-model records unchanged"
             `Quick test_rejected_notes_unchanged;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "capped frontier = prefix, sequential" `Quick
+            test_capped_prefix_sequential;
+          Alcotest.test_case "capped frontier = prefix, 2-domain pool" `Quick
+            test_capped_prefix_pool;
+          QCheck_alcotest.to_alcotest cheapest_monotone_in_total;
+          Alcotest.test_case "windowed phase 2 = full frontiers, sequential"
+            `Quick test_window_equivalence_sequential;
+          Alcotest.test_case
+            "windowed phase 2 = full frontiers, 2-domain pool" `Quick
+            test_window_equivalence_pool;
+          Alcotest.test_case "free phase-1 optima end the rounds" `Quick
+            test_window_free_optima;
         ] );
     ]

@@ -1387,6 +1387,55 @@ let private_conn socket =
   | Some fd -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   | None -> Alcotest.fail "could not connect to the private daemon"
 
+(* A sampled design on a cold daemon keeps every span of its trace:
+   phase 2 evaluates only the designs in its cost window, so the
+   load-1000 request no longer overflows the per-request collector
+   (it dropped 609 spans when phase 2 evaluated the full frontiers). *)
+let test_cold_sampled_design_keeps_its_spans () =
+  with_private_daemon [| "--jobs"; "1"; "--trace-sample"; "1" |]
+  @@ fun ~socket ~terminate:_ ->
+  let ((_, ic, oc) as conn) = private_conn socket in
+  Fun.protect ~finally:(fun () -> close_client conn) @@ fun () ->
+  let r =
+    response
+      (rpc ic oc
+         (Protocol.request_line ~id:(Json.Int 1) Protocol.Design
+            (spec_params ()
+            @ [
+                ("load", Json.Float 1000.);
+                ("downtime_minutes", Json.Float 100.);
+              ])))
+  in
+  let trace_id =
+    match (r.Protocol.outcome, r.Protocol.response_trace_id) with
+    | Ok _, Some id -> id
+    | Ok _, None -> Alcotest.fail "ok envelope carries no trace_id"
+    | Error (_, m), _ -> Alcotest.failf "design refused: %s" m
+  in
+  (* The trace lands in the ring a moment after the reply. *)
+  let rec fetch attempts =
+    match
+      (response
+         (rpc ic oc
+            (Protocol.request_line Protocol.Trace
+               [ ("trace_id", Json.String trace_id) ])))
+        .Protocol.outcome
+    with
+    | Ok result -> (
+        match List.assoc_opt "trace" (obj_fields result) with
+        | Some doc -> doc
+        | None -> Alcotest.fail "trace result lacks a trace field")
+    | Error (_, m) ->
+        if attempts >= 40 then Alcotest.failf "trace fetch refused: %s" m
+        else begin
+          Unix.sleepf 0.05;
+          fetch (attempts + 1)
+        end
+  in
+  match List.assoc_opt "spans_dropped" (obj_fields (fetch 0)) with
+  | Some (Json.Int dropped) -> Alcotest.(check int) "spans dropped" 0 dropped
+  | _ -> Alcotest.fail "trace document lacks spans_dropped"
+
 (* A client that stops reading cannot buffer without bound or wedge
    the daemon: once its backlog makes no progress for --send-timeout,
    the connection is dropped and other clients are unaffected. *)
@@ -1715,6 +1764,8 @@ let () =
             test_tracing_live;
           Alcotest.test_case "trace ids without sampling" `Quick
             test_trace_ids_without_sampling;
+          Alcotest.test_case "cold sampled design drops no span" `Quick
+            test_cold_sampled_design_keeps_its_spans;
         ] );
       ( "units",
         [
