@@ -6,8 +6,6 @@
    Skip the timing pass with: dune exec bench/main.exe -- --no-timing
    Print only one artifact:
      dune exec bench/main.exe -- table1|fig6|fig7|fig8|ablations|speedup
-   Time only the CTMC solver backends on Engine B's chains:
-     dune exec bench/main.exe -- solvers
    Write the machine-readable search benchmark (BENCH_search.json):
      dune exec bench/main.exe -- json *)
 
@@ -24,7 +22,7 @@ let section title =
    One telemetry-instrumented run per figure kernel, one of the engine
    cross-check ("validate") and one of the e-commerce service designs
    ("enterprise"), and one of the e-commerce tier frontiers
-   ("frontiers"), written to BENCH_search.json (schema_version 8) for
+   ("frontiers"), written to BENCH_search.json (schema_version 9) for
    CI artifact upload and regression tracking. The first recorded
    run's per-figure wall times are carried forward verbatim as the
    "baseline" object on every subsequent run — a v1 file's "figures"
@@ -79,8 +77,7 @@ let read_baseline path =
    reaches Engine B's closed form and the simulator. The frontier is
    searched before the clock starts; the cross-check is sequential, so
    the one timed pass also gives counters that do not depend on
-   scheduling. Engine B solves no chain, so [solver_fallback] reads 0
-   unless something in the cross-check reaches a chain solve again. *)
+   scheduling. *)
 let json_validate_benchmark ~jobs =
   let frontier =
     Search.Tier_search.frontier
@@ -101,9 +98,8 @@ let json_validate_benchmark ~jobs =
   let counter = Telemetry.Counter.read_by_name t in
   Printf.sprintf
     "{\"models\": %d, \"wall_seconds\": %.6f, \"minor_words\": %.0f, \
-     \"sim_events\": %d, \"solver_fallback\": %d}"
+     \"sim_events\": %d}"
     (List.length frontier) wall words (counter "sim.events")
-    (counter "markov.solver.fallback")
 
 (* Service_search.design on the e-commerce service over a fixed grid
    of requirements (loads × downtime budgets): the bench that reaches
@@ -258,7 +254,7 @@ let json_search_benchmark () =
   let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. rows in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 8,\n";
+  Buffer.add_string buf "  \"schema_version\": 9,\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   (match baseline with
   | Some { figures } ->
@@ -292,13 +288,11 @@ let json_search_benchmark () =
            "    {\"name\": %S, \"wall_seconds\": %.6f, \
             \"minor_words\": %.0f, \"candidates_generated\": %d, \"candidates_evaluated\": %d, \
             \"candidates_pruned\": %d, \"candidates_per_second\": %.1f, \
-            \"downtime_fresh\": %d, \"downtime_reused\": %d, \
-            \"solver_fallback\": %d}%s\n"
+            \"downtime_fresh\": %d, \"downtime_reused\": %d}%s\n"
            name wall words generated evaluated pruned
            (float_of_int evaluated /. Float.max 1e-9 wall)
            (counter "search.eval.downtime.fresh")
            (counter "search.eval.downtime.reused")
-           (counter "markov.solver.fallback")
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -541,49 +535,6 @@ let run_ablations () =
 (* ------------------------------------------------------------------ *)
 (* Timing *)
 
-(* Every stationary backend, and the auto-selected one, on Engine B's
-   chains of the e-commerce application tier (resource rC, gold
-   maintenance, one spare, four chain classes): 35, 126, 330 and 715
-   states. These are the timings behind the 2048-state dense limit of
-   [Ctmc.select_backend]. *)
-let solver_tests () =
-  let open Bechamel in
-  let module Ctmc = Aved_markov.Ctmc in
-  let infra = Aved.Experiments.infrastructure () in
-  let option =
-    List.find
-      (fun (o : Aved_model.Service.resource_option) -> o.resource = "rC")
-      (Aved.Experiments.application_tier ()).options
-  in
-  List.concat_map
-    (fun n_active ->
-      let design =
-        Aved_model.Design.tier_design ~tier_name:"application" ~resource:"rC"
-          ~n_active ~n_spare:1
-          ~mechanism_settings:
-            [ ("maintenanceA", [ ("level", Aved_model.Mechanism.Enum_value "gold") ]) ]
-          ()
-      in
-      let chain =
-        Aved_avail.Exact.chain
-          (Aved_avail.Tier_model.build ~infra ~option ~design ~demand:(Some 300.))
-      in
-      List.map
-        (fun (name, solve) ->
-          Test.make
-            ~name:
-              (Printf.sprintf "markov: %s stationary (%d states)" name
-                 (Ctmc.num_states chain))
-            (Staged.stage (fun () -> ignore (solve chain))))
-        [
-          ("gth", Ctmc.stationary_gth);
-          ("banded", Ctmc.stationary_with Ctmc.Banded);
-          ("lu", Ctmc.stationary_lu);
-          ( "auto=" ^ Ctmc.backend_name (Ctmc.select_backend chain),
-            Ctmc.stationary );
-        ])
-    [ 2; 4; 6; 8 ]
-
 let bench_tests () =
   let open Bechamel in
   let infra = Aved.Experiments.infrastructure () in
@@ -629,16 +580,6 @@ let bench_tests () =
                 ~downtimes_minutes:[ 0.5; 5.; 50. ] ())))
   in
   (* Substrate kernels. *)
-  let gth =
-    let chain = Aved_markov.Ctmc.create 120 in
-    for k = 0 to 118 do
-      Aved_markov.Ctmc.add_transition chain ~src:k ~dst:(k + 1)
-        ~rate:(1. +. float_of_int k);
-      Aved_markov.Ctmc.add_transition chain ~src:(k + 1) ~dst:k ~rate:7.
-    done;
-    Test.make ~name:"markov: GTH stationary (120 states)"
-      (Staged.stage (fun () -> ignore (Aved_markov.Ctmc.stationary_gth chain)))
-  in
   let spec_parse =
     Test.make ~name:"spec: parse Fig. 3 infrastructure"
       (Staged.stage (fun () ->
@@ -695,9 +636,7 @@ let bench_tests () =
                 ~config:(Search.Search_config.with_jobs jobs config)
                 ~loads:sweep_loads ())))
   in
-  [ table1; fig6; fig7; fig8; gth ]
-  @ solver_tests ()
-  @ [ spec_parse; monte_carlo; parallel 1; parallel 4 ]
+  [ table1; fig6; fig7; fig8; spec_parse; monte_carlo; parallel 1; parallel 4 ]
 
 (* One wall-clock readout of the parallel search, so logs carry the
    measured ratio next to the core count it was measured on. *)
@@ -765,7 +704,6 @@ let () =
   if want "fig8" then print_fig8 ();
   if want "ablations" then run_ablations ();
   if want "speedup" && only <> [] then run_parallel_speedup ();
-  if List.mem "solvers" only then run_timing (solver_tests ());
   if timing && only = [] then (
     run_parallel_speedup ();
     run_timing (bench_tests ()))

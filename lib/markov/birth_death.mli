@@ -25,8 +25,7 @@ val stationary : t -> float array
 
 val expected_reward : t -> reward:(int -> float) -> float
 (** Stationary expectation [Σ_k π_k · reward k] — the occupancy export
-    used to report quantities like the mean number of failed resources
-    (mirrors {!Ctmc.expected_reward}). *)
+    used to report quantities like the mean number of failed resources. *)
 
 val probability_at_least : t -> int -> float
 (** [probability_at_least t k] is the stationary probability of being in

@@ -2,28 +2,21 @@
 
     This module stands in for the external availability engines the paper
     interfaces with (Avanto, Mobius, Sharpe): an availability model is
-    translated into a CTMC whose stationary distribution yields expected
-    annual uptime and downtime.
-
-    Stationary analysis compiles the chain into a compressed sparse-row
-    form ({!Sparse}) once per solve, runs a structural ergodicity check,
-    and picks a backend by structure: elimination for every chain of at
-    most 2048 states — banded GTH when the transition structure is
-    narrow, dense GTH otherwise, with bitwise identical results — and
-    uniformized power iteration only above that. Elimination is exact to
-    rounding whatever the stiffness of the chain; the 2048-state cap
-    bounds the dense workspace at 32 MiB per domain. The kernels stage
-    their working set in the per-domain {!Aved_linalg.Workspace}, so a
-    steady stream of solves allocates little beyond the result
-    vectors. *)
+    translated into a CTMC (Engine B's [Exact.chain],
+    {!Birth_death.to_ctmc}), which the static checker audits
+    ({!well_formedness}) and [aved report] steps through time
+    ({!transient}). No answer needs a stationary vector — Engine B solves
+    its chains in closed form — so {!stationary} is one dense
+    Grassmann–Taksar–Heyman elimination, kept as the oracle that pins
+    that closed form. *)
 
 type t
 (** A finite CTMC with states numbered [0 .. num_states - 1]. *)
 
 exception Non_ergodic of string
-(** Raised by the stationary solvers — all of them, identically — when
-    probability can escape state 0's communicating class: some state is
-    reachable from state 0 but cannot return to it. States that are
+(** Raised by {!stationary} when probability can escape state 0's
+    communicating class: some state is reachable from state 0 but cannot
+    return to it. States that are
     unreachable from state 0 altogether are tolerated and receive
     stationary probability 0. *)
 
@@ -44,75 +37,24 @@ val transitions : t -> (int * int * float) list
 (** All transitions as [(src, dst, rate)], in insertion order, with
     repeated [add_transition] calls merged. *)
 
-val generator : t -> Aved_linalg.Matrix.t
-(** The generator matrix Q: off-diagonal rates, diagonal = −(row sum). *)
-
-val compile : t -> Sparse.t
-(** The chain's transitions in compressed sparse-row form — what the
-    stationary solvers operate on. *)
-
-type backend = Gth | Banded | Power | Lu
-(** Stationary solver backends. [Gth] and [Banded] produce bitwise
-    identical results; [Power] and [Lu] agree with them to solver
-    tolerance. [Lu] is never auto-selected. *)
-
-val backend_name : backend -> string
-(** The [<backend>] of [markov.solve.<backend>] spans and
-    [markov.<backend>.solves] counters: ["gth"], ["banded"], ... *)
-
-val select_backend : t -> backend
-(** The backend {!stationary} would use for this chain: [Banded] when
-    the bandwidth is narrow relative to the state count (half-bandwidth
-    [b] with [2b + 1 <= n / 6] on more than 32 states), else [Gth] up to
-    2048 states and [Power] above. *)
-
-val stationary : t -> Aved_linalg.Vector.t
-(** Stationary distribution via the auto-selected backend; a [Power]
-    solve whose iteration budget runs out is finished by GTH and counts
-    into [markov.solver.fallback]. Raises {!Non_ergodic} as described
+val stationary : t -> float array
+(** Stationary distribution by Grassmann–Taksar–Heyman elimination on
+    the dense rate matrix: numerically stable (no subtractions), O(n³)
+    time and an n × n workspace, so it is meant for chains of at most a
+    few thousand states. Counts into [markov.gth.solves] inside a
+    [markov.solve.gth] span. Raises {!Non_ergodic} as described
     there. *)
 
-val stationary_with : backend -> t -> Aved_linalg.Vector.t
-(** Stationary distribution via an explicit backend — primarily for the
-    differential test harness. Same {!Non_ergodic} contract; [Lu] may
-    additionally raise [Aved_linalg.Matrix.Singular] on chains with
-    unreachable states (it cannot represent the "zero mass on islands"
-    convention of the elimination backends). *)
+type backend = Gth | Banded | Power | Lu
+(** Kept only because the repository benchmark's markov probe matches
+    all four constructors; {!select_backend} returns [Gth]. *)
 
-val stationary_gth : t -> Aved_linalg.Vector.t
-(** Stationary distribution by Grassmann–Taksar–Heyman elimination —
-    numerically stable (no subtractions), O(n³) time, O(n²) workspace. *)
-
-val stationary_lu : t -> Aved_linalg.Vector.t
-(** Stationary distribution by solving [πQ = 0, Σπ = 1] with LU. *)
-
-val stationary_power :
-  ?tol:float ->
-  ?max_iters:int ->
-  t ->
-  Aved_linalg.Vector.t
-(** Stationary distribution by uniformized power iteration, accepted
-    when ‖πQ‖∞ ≤ [tol]·Λ (Λ = 1.02 × the largest exit rate; [tol]
-    defaults to 1e-12). Raises [Failure] when the iteration budget is
-    exhausted before the residual test passes. *)
-
-val expected_reward : t -> reward:(int -> float) -> float
-(** [expected_reward chain ~reward] is Σ π(s)·reward(s) under the
-    stationary distribution. *)
-
-val probability_in : t -> (int -> bool) -> float
-(** Stationary probability mass of the states satisfying the predicate. *)
-
-val mean_time_to_absorption :
-  t -> absorbing:(int -> bool) -> start:int -> float
-(** Expected time to first hit an absorbing state from [start], obtained
-    by solving the linear system on the transient states. Returns [0.]
-    when [start] is absorbing; raises [Aved_linalg.Matrix.Singular] when
-    absorption is not certain. *)
+val select_backend : t -> backend
+(** Always [Gth]: kept only for the repository benchmark's markov
+    probe. *)
 
 val transient :
-  t -> initial:Aved_linalg.Vector.t -> time:float -> epsilon:float ->
-  Aved_linalg.Vector.t
+  t -> initial:float array -> time:float -> epsilon:float -> float array
 (** State distribution after [time], starting from [initial], computed by
     uniformization with truncation error below [epsilon]. *)
 

@@ -18,31 +18,6 @@ let of_mtbf_mttr ~mtbf ~mttr =
 let perfect = 1.
 let series parts = List.fold_left (fun acc a -> acc *. a) 1. parts
 
-let parallel parts =
-  1. -. List.fold_left (fun acc a -> acc *. (1. -. a)) 1. parts
-
-(* Binomial tail P[X >= k], X ~ Binomial(n, a), evaluated by the
-   recurrence on P[X = i] to avoid factorial overflow. *)
-let k_out_of_n ~k ~n a =
-  if n < 0 then invalid_arg "Availability.k_out_of_n: negative n";
-  if k < 0 || k > n then
-    invalid_arg (Printf.sprintf "Availability.k_out_of_n: k=%d n=%d" k n);
-  if k = 0 then 1.
-  else if a = 1. then 1.
-  else if a = 0. then 0.
-  else begin
-    (* p_i = C(n,i) a^i (1-a)^(n-i); p_0 = (1-a)^n;
-       p_{i+1} = p_i * (n-i)/(i+1) * a/(1-a). *)
-    let ratio = a /. (1. -. a) in
-    let p = ref (Float.pow (1. -. a) (float_of_int n)) in
-    let tail = ref (if k = 0 then !p else 0.) in
-    for i = 0 to n - 1 do
-      p := !p *. (float_of_int (n - i) /. float_of_int (i + 1)) *. ratio;
-      if i + 1 >= k then tail := !tail +. !p
-    done;
-    Float.min 1. !tail
-  end
-
 let annual_downtime a = Duration.of_years (1. -. a)
 
 let of_annual_downtime d =

@@ -1,8 +1,8 @@
 (** Steady-state availability algebra.
 
     Availability is the long-run fraction of time a unit (or system) is
-    up. These are the classical composition rules used when generating
-    and sanity-checking the Markov availability models. *)
+    up. Tiers compose in series: the service is up only when every tier
+    is. *)
 
 type t = private float
 (** An availability, in [0, 1]. *)
@@ -19,13 +19,6 @@ val of_mtbf_mttr : mtbf:Aved_units.Duration.t -> mttr:Aved_units.Duration.t -> t
 val perfect : t
 val series : t list -> t
 (** All units must be up (the paper's tier composition): product. *)
-
-val parallel : t list -> t
-(** At least one unit up: [1 − Π(1 − aᵢ)]. *)
-
-val k_out_of_n : k:int -> n:int -> t -> t
-(** Availability of a system of [n] independent identical units that is up
-    when at least [k] are up (binomial tail). *)
 
 val annual_downtime : t -> Aved_units.Duration.t
 (** Expected downtime per year. *)

@@ -348,7 +348,10 @@ let search_option ?pool ?shared config infra kind ~bound ~excess ~tier_name
                     Incumbent.propose inc (Money.to_float (kind.cost c)))
                   shared)
           feasible;
+        (* A total with no design at all (a stepped active range, no
+           spares) tells nothing: it neither stops nor degrades. *)
         (match !best with
+        | _ when batch.min_cost = Float.infinity -> ()
         | Some b -> (
             (* All designs with more resources cost strictly more than
                the cheapest at this count; stop once even the cheapest

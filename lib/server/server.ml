@@ -113,10 +113,6 @@ let attributed_counters =
     "avail.engine.exact.calls";
     "markov.birth_death.solves";
     "markov.gth.solves";
-    "markov.banded.solves";
-    "markov.power.solves";
-    "markov.lu.solves";
-    "markov.solver.fallback";
     "parallel.tasks.queued";
     "parallel.tasks.executed";
   ]

@@ -13,12 +13,9 @@ let test_two_state_stationary () =
   let lambda = 0.2 and mu = 3. in
   let expected_up = mu /. (lambda +. mu) in
   let chain = two_state lambda mu in
-  let pi_gth = Ctmc.stationary_gth chain in
-  let pi_lu = Ctmc.stationary_lu chain in
-  check_float "gth up" expected_up pi_gth.(0);
-  check_float "gth down" (1. -. expected_up) pi_gth.(1);
-  check_float "lu up" expected_up pi_lu.(0);
-  check_float "lu down" (1. -. expected_up) pi_lu.(1)
+  let pi = Ctmc.stationary chain in
+  check_float "up" expected_up pi.(0);
+  check_float "down" (1. -. expected_up) pi.(1)
 
 let test_builder_validation () =
   let chain = Ctmc.create 3 in
@@ -36,13 +33,6 @@ let test_builder_validation () =
   check_float "rates merge" 1.5 (Ctmc.total_exit_rate chain 0);
   Alcotest.(check int) "merged transitions" 1
     (List.length (Ctmc.transitions chain))
-
-let test_generator () =
-  let chain = two_state 2. 5. in
-  let q = Ctmc.generator chain in
-  check_float "diag 0" (-2.) (Aved_linalg.Matrix.get q 0 0);
-  check_float "offdiag" 2. (Aved_linalg.Matrix.get q 0 1);
-  check_float "diag 1" (-5.) (Aved_linalg.Matrix.get q 1 1)
 
 let test_mm1k_distribution () =
   (* M/M/1/K queue: birth rate l, death rate m, K = 4. pi_k ~ rho^k. *)
@@ -86,68 +76,28 @@ let test_birth_death_vs_gth () =
     (QCheck2.Test.make ~name:"closed form matches GTH" ~count:200
        gen_birth_death (fun bd ->
          let closed = Birth_death.stationary bd in
-         let general = Ctmc.stationary_gth (Birth_death.to_ctmc bd) in
+         let general = Ctmc.stationary (Birth_death.to_ctmc bd) in
          Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) closed general))
-
-let test_gth_vs_lu () =
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~name:"GTH matches LU on random chains" ~count:200
-       QCheck2.Gen.(
-         let* n = int_range 2 7 in
-         let* rates =
-           array_repeat (n * n) (float_range 0.01 5.)
-         in
-         return (n, rates))
-       (fun (n, rates) ->
-         let chain = Ctmc.create n in
-         for i = 0 to n - 1 do
-           for j = 0 to n - 1 do
-             if i <> j then
-               Ctmc.add_transition chain ~src:i ~dst:j
-                 ~rate:rates.((i * n) + j)
-           done
-         done;
-         let a = Ctmc.stationary_gth chain in
-         let b = Ctmc.stationary_lu chain in
-         Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-8) a b))
 
 let test_stationary_is_invariant () =
   QCheck2.Test.check_exn
     (QCheck2.Test.make ~name:"pi Q = 0" ~count:100 gen_birth_death (fun bd ->
          let chain = Birth_death.to_ctmc bd in
          let pi = Ctmc.stationary chain in
-         let flow =
-           Aved_linalg.Matrix.vec_mul pi (Ctmc.generator chain)
-         in
-         Aved_linalg.Vector.norm_inf flow < 1e-9))
+         (* pi Q: inflow along each transition, outflow at its source. *)
+         let flow = Array.make (Array.length pi) 0. in
+         List.iter
+           (fun (src, dst, rate) ->
+             flow.(dst) <- flow.(dst) +. (pi.(src) *. rate);
+             flow.(src) <- flow.(src) -. (pi.(src) *. rate))
+           (Ctmc.transitions chain);
+         Array.for_all (fun f -> Float.abs f < 1e-9) flow))
 
 let test_probability_at_least () =
   let bd = Birth_death.create ~up:[| 1. |] ~down:[| 1. |] in
   check_float "half" 0.5 (Birth_death.probability_at_least bd 1);
   check_float "all" 1. (Birth_death.probability_at_least bd 0);
   check_float "none" 0. (Birth_death.probability_at_least bd 2)
-
-let test_mean_time_to_absorption () =
-  (* Single transient state, exp(lambda) to absorption: mean 1/lambda. *)
-  let lambda = 0.25 in
-  let chain = Ctmc.create 2 in
-  Ctmc.add_transition chain ~src:0 ~dst:1 ~rate:lambda;
-  check_float "exponential absorption" (1. /. lambda)
-    (Ctmc.mean_time_to_absorption chain ~absorbing:(fun s -> s = 1) ~start:0);
-  check_float "absorbing start" 0.
-    (Ctmc.mean_time_to_absorption chain ~absorbing:(fun s -> s = 1) ~start:1);
-  (* Two sequential exponential stages: means add. *)
-  let chain2 = Ctmc.create 3 in
-  Ctmc.add_transition chain2 ~src:0 ~dst:1 ~rate:2.;
-  Ctmc.add_transition chain2 ~src:1 ~dst:2 ~rate:4.;
-  check_float "stages add" 0.75
-    (Ctmc.mean_time_to_absorption chain2 ~absorbing:(fun s -> s = 2) ~start:0)
-
-let test_expected_reward () =
-  let chain = two_state 1. 1. in
-  check_float "reward" 0.5
-    (Ctmc.expected_reward chain ~reward:(fun s -> if s = 0 then 1. else 0.));
-  check_float "probability_in" 0.5 (Ctmc.probability_in chain (fun s -> s = 1))
 
 let test_transient () =
   let lambda = 1. and mu = 2. in
@@ -179,7 +129,7 @@ let test_reducible_gth () =
   Ctmc.add_transition chain ~src:1 ~dst:0 ~rate:1.;
   Ctmc.add_transition chain ~src:2 ~dst:3 ~rate:1.;
   Ctmc.add_transition chain ~src:3 ~dst:2 ~rate:1.;
-  let pi = Ctmc.stationary_gth chain in
+  let pi = Ctmc.stationary chain in
   check_float "class of 0, state 0" 0.5 pi.(0);
   check_float "class of 0, state 1" 0.5 pi.(1);
   check_float "unreachable class" 0. (pi.(2) +. pi.(3));
@@ -191,128 +141,9 @@ let test_reducible_gth () =
   Ctmc.add_transition leaky ~src:0 ~dst:2 ~rate:1.;
   Ctmc.add_transition leaky ~src:2 ~dst:3 ~rate:1.;
   Ctmc.add_transition leaky ~src:3 ~dst:2 ~rate:1.;
-  match Ctmc.stationary_gth leaky with
+  match Ctmc.stationary leaky with
   | _ -> Alcotest.fail "expected reducible-chain failure"
   | exception Ctmc.Non_ergodic _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Stochastic Petri nets *)
-
-module Petri = Aved_markov.Petri
-
-let test_petri_two_state () =
-  (* up <-> down: a 2-place availability net. *)
-  let net = Petri.create ~places:2 in
-  Petri.add_transition net ~label:"fail" ~rate:0.2 ~inputs:[ (0, 1) ]
-    ~outputs:[ (1, 1) ] ();
-  Petri.add_transition net ~label:"repair" ~rate:3. ~inputs:[ (1, 1) ]
-    ~outputs:[ (0, 1) ] ();
-  let compiled = Petri.compile net ~initial:[| 1; 0 |] () in
-  Alcotest.(check int) "two markings" 2
-    (Aved_markov.Ctmc.num_states compiled.chain);
-  check_float "availability" (3. /. 3.2)
-    (Petri.probability compiled (fun m -> m.(0) = 1));
-  check_float "expected up tokens" (3. /. 3.2)
-    (Petri.expected_tokens compiled 0)
-
-let test_petri_machine_repair () =
-  (* The machine-repair model: N machines, infinite-server failures,
-     single repairman — must match the birth-death closed form. *)
-  let n = 4 in
-  let lambda = 0.3 and mu = 1.7 in
-  let net = Petri.create ~places:2 in
-  (* place 0 = working, place 1 = broken *)
-  Petri.add_transition net ~label:"fail" ~rate:lambda
-    ~semantics:Petri.Infinite_server ~inputs:[ (0, 1) ] ~outputs:[ (1, 1) ] ();
-  Petri.add_transition net ~label:"repair" ~rate:mu ~inputs:[ (1, 1) ]
-    ~outputs:[ (0, 1) ] ();
-  let compiled = Petri.compile net ~initial:[| n; 0 |] () in
-  let bd =
-    Aved_markov.Birth_death.create
-      ~up:(Array.init n (fun k -> float_of_int (n - k) *. lambda))
-      ~down:(Array.make n mu)
-  in
-  let pi = Aved_markov.Birth_death.stationary bd in
-  for k = 0 to n do
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "pi_%d" k)
-      pi.(k)
-      (Petri.probability compiled (fun m -> m.(1) = k))
-  done
-
-let test_petri_infinite_server_degree () =
-  (* Infinite-server repairs: rate scales with the broken count. *)
-  let net = Petri.create ~places:2 in
-  Petri.add_transition net ~label:"fail" ~rate:1.
-    ~semantics:Petri.Infinite_server ~inputs:[ (0, 1) ] ~outputs:[ (1, 1) ] ();
-  Petri.add_transition net ~label:"repair" ~rate:2.
-    ~semantics:Petri.Infinite_server ~inputs:[ (1, 1) ] ~outputs:[ (0, 1) ] ();
-  let compiled = Petri.compile net ~initial:[| 3; 0 |] () in
-  (* Independent units: broken count ~ Binomial(3, 1/3). *)
-  let p_broken = 1. /. 3. in
-  for k = 0 to 3 do
-    let rec choose n k =
-      if k = 0 || k = n then 1.
-      else choose (n - 1) (k - 1) *. float_of_int n /. float_of_int k
-    in
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "binomial %d" k)
-      (choose 3 k *. (p_broken ** float_of_int k)
-      *. ((1. -. p_broken) ** float_of_int (3 - k)))
-      (Petri.probability compiled (fun m -> m.(1) = k))
-  done
-
-let test_petri_validation () =
-  let net = Petri.create ~places:2 in
-  Alcotest.(check bool) "bad rate" true
-    (match
-       Petri.add_transition net ~label:"x" ~rate:0. ~inputs:[ (0, 1) ]
-         ~outputs:[] ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad weight" true
-    (match
-       Petri.add_transition net ~label:"x" ~rate:1. ~inputs:[ (0, 0) ]
-         ~outputs:[] ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad place" true
-    (match
-       Petri.add_transition net ~label:"x" ~rate:1. ~inputs:[ (7, 1) ]
-         ~outputs:[] ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "arity mismatch" true
-    (match Petri.compile net ~initial:[| 1 |] () with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_petri_unbounded_guard () =
-  (* A pure producer is unbounded: the state cap must fire. *)
-  let net = Petri.create ~places:1 in
-  Petri.add_transition net ~label:"produce" ~rate:1. ~inputs:[]
-    ~outputs:[ (0, 1) ] ();
-  Alcotest.(check bool) "cap fires" true
-    (match Petri.compile net ~initial:[| 0 |] ~max_states:50 () with
-    | _ -> false
-    | exception Failure _ -> true)
-
-let test_petri_index_of () =
-  let net = Petri.create ~places:2 in
-  Petri.add_transition net ~label:"move" ~rate:1. ~inputs:[ (0, 1) ]
-    ~outputs:[ (1, 1) ] ();
-  Petri.add_transition net ~label:"back" ~rate:1. ~inputs:[ (1, 1) ]
-    ~outputs:[ (0, 1) ] ();
-  let compiled = Petri.compile net ~initial:[| 2; 0 |] () in
-  Alcotest.(check (option int)) "initial is state 0" (Some 0)
-    (compiled.index_of [| 2; 0 |]);
-  Alcotest.(check bool) "reachable marking found" true
-    (compiled.index_of [| 0; 2 |] <> None);
-  Alcotest.(check (option int)) "unreachable marking" None
-    (compiled.index_of [| 3; 0 |])
 
 let () =
   Alcotest.run "markov"
@@ -323,10 +154,6 @@ let () =
             test_two_state_stationary;
           Alcotest.test_case "builder validation" `Quick
             test_builder_validation;
-          Alcotest.test_case "generator matrix" `Quick test_generator;
-          Alcotest.test_case "mean time to absorption" `Quick
-            test_mean_time_to_absorption;
-          Alcotest.test_case "expected reward" `Quick test_expected_reward;
           Alcotest.test_case "transient (uniformization)" `Quick
             test_transient;
           Alcotest.test_case "reducible chain rejected" `Quick
@@ -342,24 +169,10 @@ let () =
           Alcotest.test_case "probability_at_least" `Quick
             test_probability_at_least;
         ] );
-      ( "petri",
-        [
-          Alcotest.test_case "two-state availability" `Quick
-            test_petri_two_state;
-          Alcotest.test_case "machine repair vs birth-death" `Quick
-            test_petri_machine_repair;
-          Alcotest.test_case "infinite-server degree" `Quick
-            test_petri_infinite_server_degree;
-          Alcotest.test_case "validation" `Quick test_petri_validation;
-          Alcotest.test_case "unbounded net guarded" `Quick
-            test_petri_unbounded_guard;
-          Alcotest.test_case "marking lookup" `Quick test_petri_index_of;
-        ] );
       ( "properties",
         [
           Alcotest.test_case "closed form vs GTH" `Quick
             test_birth_death_vs_gth;
-          Alcotest.test_case "GTH vs LU" `Quick test_gth_vs_lu;
           Alcotest.test_case "stationarity" `Quick test_stationary_is_invariant;
         ] );
     ]

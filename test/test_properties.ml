@@ -174,21 +174,6 @@ let int_range_spread =
 (* ------------------------------------------------------------------ *)
 (* Reliability *)
 
-let k_out_of_n_monotone_in_k =
-  QCheck2.Test.make ~name:"k-out-of-n availability decreases with k"
-    ~count:300
-    QCheck2.Gen.(
-      let* n = int_range 1 10 in
-      let* k = int_range 1 n in
-      let* a = float_range 0.01 0.99 in
-      return (n, k, a))
-    (fun (n, k, a) ->
-      let avail k =
-        Availability.to_fraction
-          (Availability.k_out_of_n ~k ~n (Availability.of_fraction a))
-      in
-      avail k >= avail (Stdlib.min n (k + 1)) -. 1e-12)
-
 let series_bounded_by_weakest =
   QCheck2.Test.make ~name:"series availability below its weakest element"
     ~count:300
@@ -395,7 +380,7 @@ let () =
           qtest int_range_spread;
         ] );
       ( "reliability",
-        [ qtest k_out_of_n_monotone_in_k; qtest series_bounded_by_weakest ] );
+        [ qtest series_bounded_by_weakest ] );
       ( "engines",
         [
           qtest analytic_downtime_bounded;

@@ -17,42 +17,10 @@ let test_of_mtbf_mttr () =
     (fun () ->
       ignore (Availability.of_mtbf_mttr ~mtbf:Duration.zero ~mttr:Duration.zero))
 
-let test_series_parallel () =
+let test_series () =
   let a = Availability.of_fraction 0.9 and b = Availability.of_fraction 0.8 in
   check_float "series" 0.72 (frac (Availability.series [ a; b ]));
-  check_float "series empty" 1. (frac (Availability.series []));
-  check_float "parallel" 0.98 (frac (Availability.parallel [ a; b ]));
-  check_float "parallel empty" 0. (frac (Availability.parallel []))
-
-let binomial_tail k n p =
-  (* Direct enumeration for the oracle. *)
-  let rec choose n k =
-    if k = 0 || k = n then 1. else choose (n - 1) (k - 1) *. float_of_int n /. float_of_int k
-  in
-  let acc = ref 0. in
-  for i = k to n do
-    acc :=
-      !acc
-      +. choose n i *. (p ** float_of_int i)
-         *. ((1. -. p) ** float_of_int (n - i))
-  done;
-  !acc
-
-let test_k_out_of_n () =
-  check_float "1-of-1" 0.9 (frac (Availability.k_out_of_n ~k:1 ~n:1 (Availability.of_fraction 0.9)));
-  check_float "k=0" 1. (frac (Availability.k_out_of_n ~k:0 ~n:3 (Availability.of_fraction 0.1)));
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~name:"binomial tail oracle" ~count:300
-       QCheck2.Gen.(
-         let* n = int_range 1 12 in
-         let* k = int_range 0 n in
-         let* p = float_range 0.01 0.99 in
-         return (k, n, p))
-       (fun (k, n, p) ->
-         let got =
-           frac (Availability.k_out_of_n ~k ~n (Availability.of_fraction p))
-         in
-         Float.abs (got -. binomial_tail k n p) < 1e-9))
+  check_float "series empty" 1. (frac (Availability.series []))
 
 let test_annual_downtime () =
   let a = Availability.of_fraction 0.999 in
@@ -134,197 +102,15 @@ let test_optimal_interval () =
   in
   check_float "sqrt(2 c M)" 200. (Duration.seconds t)
 
-(* ------------------------------------------------------------------ *)
-(* Block diagrams *)
-
-module Block_diagram = Aved_reliability.Block_diagram
-module Fault_tree = Aved_reliability.Fault_tree
-
-let b name a = Block_diagram.block ~name (Availability.of_fraction a)
-
-let test_rbd_series_parallel () =
-  check_float "series" (0.9 *. 0.8)
-    (frac (Block_diagram.availability (Block_diagram.series [ b "x" 0.9; b "y" 0.8 ])));
-  check_float "parallel" (1. -. (0.1 *. 0.2))
-    (frac (Block_diagram.availability (Block_diagram.parallel [ b "x" 0.9; b "y" 0.8 ])));
-  check_float "empty series up" 1.
-    (frac (Block_diagram.availability (Block_diagram.series [])));
-  check_float "empty parallel down" 0.
-    (frac (Block_diagram.availability (Block_diagram.parallel [])));
-  (* Nesting: two replicated stacks of (web - db). *)
-  let stack = Block_diagram.series [ b "web" 0.99; b "db" 0.95 ] in
-  check_float "nested"
-    (1. -. ((1. -. (0.99 *. 0.95)) ** 2.))
-    (frac (Block_diagram.availability (Block_diagram.parallel [ stack; stack ])))
-
-let test_rbd_k_of_n () =
-  (* Homogeneous: must match the binomial closed form. *)
-  let p = 0.85 in
-  let parts = List.init 5 (fun i -> b (Printf.sprintf "u%d" i) p) in
-  check_float "homogeneous k-of-n"
-    (frac (Availability.k_out_of_n ~k:3 ~n:5 (Availability.of_fraction p)))
-    (frac (Block_diagram.availability (Block_diagram.k_of_n ~k:3 parts)));
-  (* Heterogeneous 1-of-2 equals parallel. *)
-  let parts2 = [ b "a" 0.9; b "c" 0.7 ] in
-  check_float "1-of-2 is parallel"
-    (frac (Block_diagram.availability (Block_diagram.parallel parts2)))
-    (frac (Block_diagram.availability (Block_diagram.k_of_n ~k:1 parts2)));
-  (* n-of-n equals series. *)
-  check_float "2-of-2 is series"
-    (frac (Block_diagram.availability (Block_diagram.series parts2)))
-    (frac (Block_diagram.availability (Block_diagram.k_of_n ~k:2 parts2)));
-  check_float "0-of-n is up" 1.
-    (frac (Block_diagram.availability (Block_diagram.k_of_n ~k:0 parts2)));
-  Alcotest.(check bool) "bad k" true
-    (match Block_diagram.k_of_n ~k:3 parts2 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_rbd_importance () =
-  (* In a series system the weakest block has the highest importance
-     (its improvement is multiplied by the availability of the rest). *)
-  let d = Block_diagram.series [ b "strong" 0.999; b "weak" 0.9 ] in
-  let importance = Block_diagram.birnbaum_importance d in
-  let get name = List.assoc name importance in
-  check_float "dA/dweak" 0.999 (get "weak");
-  check_float "dA/dstrong" 0.9 (get "strong");
-  Alcotest.(check (list string)) "blocks" [ "strong"; "weak" ]
-    (Block_diagram.blocks d)
-
-let test_rbd_importance_property () =
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~name:"importance within [0,1] and weakest-first"
-       ~count:200
-       QCheck2.Gen.(list_size (int_range 1 6) (float_range 0.5 0.999))
-       (fun parts ->
-         let diagram =
-           Block_diagram.series
-             (List.mapi (fun i a -> b (Printf.sprintf "p%d" i) a) parts)
-         in
-         List.for_all
-           (fun (_, imp) -> imp >= 0. && imp <= 1.)
-           (Block_diagram.birnbaum_importance diagram)))
-
-(* ------------------------------------------------------------------ *)
-(* Fault trees *)
-
-let ev name p = Fault_tree.basic ~name ~probability:p
-
-let test_fault_tree_gates () =
-  check_float "or" (1. -. (0.9 *. 0.8))
-    (Fault_tree.top_event_probability
-       (Fault_tree.gate_or [ ev "a" 0.1; ev "c" 0.2 ]));
-  check_float "and" (0.1 *. 0.2)
-    (Fault_tree.top_event_probability
-       (Fault_tree.gate_and [ ev "a" 0.1; ev "c" 0.2 ]));
-  check_float "empty or never" 0.
-    (Fault_tree.top_event_probability (Fault_tree.gate_or []));
-  check_float "empty and always" 1.
-    (Fault_tree.top_event_probability (Fault_tree.gate_and []));
-  (* 2-of-3 vote with p = 0.1 each: 3 p^2 (1-p) + p^3. *)
-  let v =
-    Fault_tree.vote ~k:2 [ ev "a" 0.1; ev "c" 0.1; ev "d" 0.1 ]
-  in
-  check_float "vote"
-    ((3. *. 0.01 *. 0.9) +. 0.001)
-    (Fault_tree.top_event_probability v)
-
-let test_fault_tree_importance () =
-  (* Outage = power AND (disk1 OR disk2): power dominates. *)
-  let tree =
-    Fault_tree.gate_or
-      [
-        ev "power" 0.001;
-        Fault_tree.gate_and [ ev "disk1" 0.01; ev "disk2" 0.01 ];
-      ]
-  in
-  let importance = Fault_tree.birnbaum_importance tree in
-  Alcotest.(check bool) "power most important" true
-    (List.assoc "power" importance > List.assoc "disk1" importance);
-  check_float "events" 3. (float_of_int (List.length importance))
-
-let gen_fault_tree =
-  let open QCheck2.Gen in
-  sized (fun size ->
-      fix
-        (fun self size ->
-          let leaf =
-            map2
-              (fun i p -> ev (Printf.sprintf "e%d" (i : int)) p)
-              (int_range 0 1000) (float_range 0. 1.)
-          in
-          if size <= 1 then leaf
-          else
-            let sub = list_size (int_range 1 4) (self (size / 3)) in
-            oneof
-              [
-                leaf;
-                map Fault_tree.gate_or sub;
-                map Fault_tree.gate_and sub;
-                (let* inputs = sub in
-                 let* k = int_range 0 (List.length inputs) in
-                 return (Fault_tree.vote ~k inputs));
-              ])
-        (min size 8))
-
-let test_fault_tree_duality () =
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make
-       ~name:"fault tree equals one minus its dual block diagram"
-       ~count:300 gen_fault_tree (fun tree ->
-         let direct = Fault_tree.top_event_probability tree in
-         let dual =
-           1.
-           -. frac (Block_diagram.availability (Fault_tree.to_block_diagram tree))
-         in
-         Float.abs (direct -. dual) < 1e-9))
-
-let test_fault_tree_monotone () =
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make
-       ~name:"raising a basic probability cannot lower the top event"
-       ~count:200
-       QCheck2.Gen.(pair gen_fault_tree (float_range 0. 1.))
-       (fun (tree, bump) ->
-         let rec raise_all = function
-           | Fault_tree.Basic { name; probability } ->
-               Fault_tree.basic ~name
-                 ~probability:(Float.min 1. (probability +. bump))
-           | Fault_tree.Or inputs -> Fault_tree.gate_or (List.map raise_all inputs)
-           | Fault_tree.And inputs ->
-               Fault_tree.gate_and (List.map raise_all inputs)
-           | Fault_tree.Vote { k; inputs } ->
-               Fault_tree.vote ~k (List.map raise_all inputs)
-         in
-         Fault_tree.top_event_probability (raise_all tree)
-         >= Fault_tree.top_event_probability tree -. 1e-12))
-
 let () =
   Alcotest.run "reliability"
     [
       ( "availability",
         [
           Alcotest.test_case "of_mtbf_mttr" `Quick test_of_mtbf_mttr;
-          Alcotest.test_case "series/parallel" `Quick test_series_parallel;
-          Alcotest.test_case "k-out-of-n" `Quick test_k_out_of_n;
+          Alcotest.test_case "series" `Quick test_series;
           Alcotest.test_case "annual downtime" `Quick test_annual_downtime;
           Alcotest.test_case "fraction bounds" `Quick test_of_fraction_bounds;
-        ] );
-      ( "block-diagram",
-        [
-          Alcotest.test_case "series/parallel" `Quick test_rbd_series_parallel;
-          Alcotest.test_case "k-of-n" `Quick test_rbd_k_of_n;
-          Alcotest.test_case "Birnbaum importance" `Quick test_rbd_importance;
-          Alcotest.test_case "importance bounds" `Quick
-            test_rbd_importance_property;
-        ] );
-      ( "fault-tree",
-        [
-          Alcotest.test_case "gates" `Quick test_fault_tree_gates;
-          Alcotest.test_case "importance" `Quick test_fault_tree_importance;
-          Alcotest.test_case "block-diagram duality" `Quick
-            test_fault_tree_duality;
-          Alcotest.test_case "monotone" `Quick test_fault_tree_monotone;
         ] );
       ( "loss-window",
         [

@@ -118,6 +118,67 @@ let test_optimal_matches_frontier () =
       | None, Some _ -> Alcotest.failf "frontier missed a design at %g" limit)
     [ 5000.; 500.; 100.; 20.; 1. ]
 
+(* Every [step]-th active count from 1 to 1000. With no spares, every
+   total between two admissible counts holds no design at all. *)
+let stepped ~step (o : Service.resource_option) =
+  { o with n_active = Int_range.arithmetic ~lo:1 ~hi:1000 ~step }
+
+let stepped_loads =
+  [ 200.; 400.; 800.; 1000.; 1500.; 2000.; 2500.; 3000.; 3500.; 4000.; 5000. ]
+
+let stepped_budgets = [ 1000.; 500.; 200.; 100.; 50.; 30.; 10.; 5. ]
+
+(* A total with no design neither stops the search nor counts against
+   it: on rC and rA with stepped active counts and no spares, the
+   optimal search finds what the frontier holds at every load and
+   budget. *)
+let test_optimal_matches_frontier_stepped () =
+  let no_spares = { config with Search_config.max_spares = 0 } in
+  let option tier resource =
+    List.find
+      (fun (o : Service.resource_option) -> o.resource = resource)
+      (Option.get (Service.find_tier (Aved.Experiments.ecommerce ()) tier))
+        .options
+  in
+  List.iter
+    (fun step ->
+      let tier =
+        {
+          Service.tier_name = "application";
+          options =
+            [
+              stepped ~step (option "application" "rC");
+              stepped ~step (option "web" "rA");
+            ];
+        }
+      in
+      List.iter
+        (fun demand ->
+          let frontier =
+            Tier_search.frontier no_spares (infra ()) ~tier ~demand
+          in
+          List.iter
+            (fun minutes ->
+              let from_frontier =
+                List.find_opt
+                  (fun (c : Candidate.t) ->
+                    Duration.minutes (Candidate.downtime c) <= minutes)
+                  frontier
+              in
+              let from_search =
+                Tier_search.optimal no_spares (infra ()) ~tier ~demand
+                  ~max_downtime:(Duration.of_minutes minutes)
+              in
+              let cost =
+                Option.map (fun (c : Candidate.t) -> Money.to_float c.cost)
+              in
+              Alcotest.(check (option (float 0.)))
+                (Printf.sprintf "+%d, load %g, %g min" step demand minutes)
+                (cost from_frontier) (cost from_search))
+            stepped_budgets)
+        stepped_loads)
+    [ 2; 3 ]
+
 let test_cost_monotone_in_requirement () =
   let cost limit =
     Tier_search.optimal config (infra ()) ~tier:(app_tier ()) ~demand:1600.
@@ -289,6 +350,68 @@ let test_job_infeasible () =
 (* Spare operational modes (paper §4.1): spares whose components run
    hot fail over faster, so the space with every downward-closed
    spare-active set reaches lower downtime than all-inactive spares. *)
+
+(* The same with the finite-job search, on the scientific tier with
+   stepped active counts and no spares. The reference searches each
+   admissible count alone, in rising order, and stops at the first
+   count whose cheapest design costs no less than the best found: an
+   option's cheapest design never gets cheaper as its count grows.
+   Counts above 200 are left out of the reference; every deadline here
+   is met far below them. *)
+let test_job_optimal_stepped () =
+  let no_spares = { job_config with Search_config.max_spares = 0 } in
+  let base = sci_tier () in
+  let cost =
+    Option.map (fun (c : Job_search.candidate) -> Money.to_float c.cost)
+  in
+  let optimal ~max_time tier =
+    cost
+      (Job_search.optimal no_spares (sci_infra ()) ~tier ~job_size ~max_time)
+  in
+  let alone (o : Service.resource_option) n =
+    { base with options = [ { o with n_active = Int_range.singleton n } ] }
+  in
+  let rec scan ~max_time o best = function
+    | [] -> best
+    | n :: rest -> (
+        let cheapest = optimal ~max_time:(Duration.of_years 1e6) (alone o n) in
+        match (cheapest, best) with
+        | Some c, Some b when c >= b -> best
+        | _ ->
+            let best =
+              match (optimal ~max_time (alone o n), best) with
+              | Some c, Some b -> Some (Float.min c b)
+              | Some c, None -> Some c
+              | None, best -> best
+            in
+            scan ~max_time o best rest)
+  in
+  List.iter
+    (fun step ->
+      let tier =
+        { base with options = List.map (stepped ~step) base.options }
+      in
+      List.iter
+        (fun hours ->
+          let max_time = Duration.of_hours hours in
+          let least =
+            List.fold_left
+              (fun best (o : Service.resource_option) ->
+                match
+                  ( scan ~max_time o None
+                      (Int_range.between o.n_active ~lo:1 ~hi:200),
+                    best )
+                with
+                | Some c, Some b -> Some (Float.min c b)
+                | c, None -> c
+                | None, b -> b)
+              None tier.options
+          in
+          Alcotest.(check (option (float 0.)))
+            (Printf.sprintf "+%d, %g h" step hours)
+            least (optimal ~max_time tier))
+        [ 500.; 200.; 100.; 80.; 60.; 40.; 30.; 20. ])
+    [ 2; 3 ]
 
 let with_spare_modes ?(jobs = 1) base =
   Search_config.with_jobs jobs
@@ -1720,6 +1843,8 @@ let () =
             test_optimal_meets_requirement;
           Alcotest.test_case "optimal matches frontier" `Quick
             test_optimal_matches_frontier;
+          Alcotest.test_case "optimal matches frontier, stepped counts" `Quick
+            test_optimal_matches_frontier_stepped;
           Alcotest.test_case "cost monotone in requirement" `Quick
             test_cost_monotone_in_requirement;
           Alcotest.test_case "brute-force equivalence" `Quick
@@ -1735,6 +1860,8 @@ let () =
             test_job_n_decreases_with_relaxation;
           Alcotest.test_case "cost monotone" `Quick test_job_cost_monotone;
           Alcotest.test_case "infeasible deadline" `Quick test_job_infeasible;
+          Alcotest.test_case "optimal over stepped counts" `Quick
+            test_job_optimal_stepped;
         ] );
       ( "spare modes",
         [

@@ -1,29 +1,23 @@
-(* Numerical-equivalence harness for the CTMC solving substrate.
+(* Numerical checks of the CTMC stationary solver, dense GTH.
 
-   The sparse backends (GTH elimination, banded elimination, power
-   iteration) exist to make the solves fast; this suite pins them to
-   the dense LU reference on randomly generated ergodic chains so a
-   speed optimization can never silently change the numbers. Chains are
-   generated from fixed seeds — failures reproduce. Engine B's chains
-   are stiff (failures in days, repairs in minutes), which random rates
-   never are, so they get a sweep of their own that demands
-   elimination-exact answers; and GTH on them is the oracle for Engine
-   B's closed-form stationary law. *)
+   No answer path solves a chain: Engine B computes its stationary law
+   in closed form, and GTH on Engine B's chains is the oracle for that
+   closed form. This suite pins GTH itself on randomly generated ergodic
+   chains (a distribution that solves piQ = 0) and on the stiff chains
+   of the e-commerce specs (failures in days, repairs in minutes), which
+   random rates never produce. Chains are generated from fixed seeds —
+   failures reproduce. *)
 
 module Ctmc = Aved_markov.Ctmc
-module Matrix = Aved_linalg.Matrix
-module Vector = Aved_linalg.Vector
 module Duration = Aved_units.Duration
 module Avail = Aved_avail
 module Telemetry = Aved_telemetry.Telemetry
 module Trace = Telemetry.Trace
 
-let backends = [ ("gth", Ctmc.Gth); ("banded", Ctmc.Banded); ("power", Ctmc.Power); ("lu", Ctmc.Lu) ]
-
 (* ------------------------------------------------------------------ *)
 (* Random ergodic chains: a Hamiltonian cycle guarantees irreducibility,
-   random extra edges vary the structure (bandwidth, density) enough to
-   exercise every backend-selection regime. Rates span [0.05, 20). *)
+   random extra edges vary the structure (bandwidth, density). Rates
+   span [0.05, 20). *)
 
 let rand_rate st = 0.05 +. Random.State.float st 19.95
 
@@ -63,55 +57,36 @@ let sweep_chains () =
         [ (fun n -> n / 2); (fun n -> 3 * n) ])
     [ 5; 8; 13; 21; 34; 55; 89; 144; 200 ]
 
-(* ------------------------------------------------------------------ *)
-(* Differential: every backend within 1e-9 of dense LU, elementwise. *)
+(* pi Q, from the transitions: inflow along each, outflow at its
+   source. *)
+let flow chain pi =
+  let out = Array.make (Array.length pi) 0. in
+  List.iter
+    (fun (src, dst, rate) ->
+      out.(dst) <- out.(dst) +. (pi.(src) *. rate);
+      out.(src) <- out.(src) -. (pi.(src) *. rate))
+    (Ctmc.transitions chain);
+  out
 
-let test_backends_vs_lu () =
+let max_abs a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. a
+
+(* GTH is subtraction-free, so its answer is exactly non-negative; it
+   must have unit mass and actually solve piQ = 0. *)
+let test_distribution_invariants () =
   List.iteri
     (fun i chain ->
-      let reference = Ctmc.stationary_lu chain in
-      List.iter
-        (fun (name, backend) ->
-          let pi = Ctmc.stationary_with backend chain in
-          let diff = Vector.max_abs_diff pi reference in
-          if diff > 1e-9 then
-            Alcotest.failf "chain %d (%d states): %s differs from lu by %.3e"
-              i (Ctmc.num_states chain) name diff)
-        backends)
-    (sweep_chains ())
-
-(* Invariants every backend must honor on every chain: a distribution
-   (non-negative, unit mass) that actually solves piQ = 0. GTH is
-   subtraction-free and power iteration multiplies non-negative
-   matrices, so both must be exactly non-negative; the elimination
-   backends may carry rounding at the -1e-10 level. *)
-let test_backend_invariants () =
-  List.iteri
-    (fun i chain ->
-      let q = Ctmc.generator chain in
       let scale = Float.max 1. (max_exit_rate chain) in
-      List.iter
-        (fun (name, backend) ->
-          let pi = Ctmc.stationary_with backend chain in
-          let floor =
-            match backend with
-            | Ctmc.Gth | Ctmc.Power -> 0.
-            | Ctmc.Banded | Ctmc.Lu -> -1e-10
-          in
-          Array.iteri
-            (fun s p ->
-              if p < floor then
-                Alcotest.failf "chain %d: %s pi(%d) = %.3e below %.0e" i name
-                  s p floor)
-            pi;
-          let mass = Vector.norm_1 pi in
-          if Float.abs (mass -. 1.) > 1e-12 then
-            Alcotest.failf "chain %d: %s mass %.17g" i name mass;
-          let residual = Vector.norm_inf (Matrix.vec_mul pi q) in
-          if residual > 1e-8 *. scale then
-            Alcotest.failf "chain %d: %s residual %.3e (scale %.3g)" i name
-              residual scale)
-        backends)
+      let pi = Ctmc.stationary chain in
+      Array.iteri
+        (fun s p ->
+          if p < 0. then Alcotest.failf "chain %d: pi(%d) = %.3e below 0" i s p)
+        pi;
+      let mass = Array.fold_left ( +. ) 0. pi in
+      if Float.abs (mass -. 1.) > 1e-12 then
+        Alcotest.failf "chain %d: mass %.17g" i mass;
+      let residual = max_abs (flow chain pi) in
+      if residual > 1e-8 *. scale then
+        Alcotest.failf "chain %d: residual %.3e (scale %.3g)" i residual scale)
     (sweep_chains ())
 
 (* ------------------------------------------------------------------ *)
@@ -145,8 +120,8 @@ let rc_chain ~classes ~level ~n_active ~n_spare =
   Avail.Exact.chain (rc_model ~classes ~level ~n_active ~n_spare)
 
 (* (classes, n_active, n_spare): 136, 351 and 703 states with two
-   classes (the machine's hard and soft failures; the larger two select
-   banded GTH), 126, 330 and 715 with all four (dense GTH). *)
+   classes (the machine's hard and soft failures), 126, 330 and 715 with
+   all four. *)
 let stiff_shapes =
   [ (2, 14, 1); (2, 23, 2); (2, 35, 1); (4, 4, 1); (4, 6, 1); (4, 8, 1) ]
 
@@ -156,56 +131,44 @@ let bits_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-(* Elimination is the answer on these chains: the auto-selected solve
-   and forced banded GTH reproduce dense GTH bit for bit, and dense LU
-   agrees to 1e-12. Power iteration is left out: on chains this stiff it
-   exhausts its budget, which is why it is not selected for them. *)
+(* Elementwise, relative to each entry, since pi(s) spans hundreds of
+   orders of magnitude between the all-up and the all-failed states.
+   Entries near the subnormal range carry no relative precision, so
+   they get an absolute floor of 1e-300. *)
+let close_elementwise closed gth =
+  Array.length closed = Array.length gth
+  && Array.for_all2
+       (fun p g -> Float.abs (p -. g) <= (1e-12 *. g) +. 1e-300)
+       closed gth
+
+(* On the e-commerce chains, which are far stiffer than random ones,
+   GTH agrees with Engine B's closed form entry by entry. *)
 let test_stiff_chains () =
   List.iter
     (fun (classes, n_active, n_spare) ->
-      let chain = rc_chain ~classes ~level:"gold" ~n_active ~n_spare in
-      let n = Ctmc.num_states chain in
-      let gth = Ctmc.stationary_gth chain in
-      let exact name pi =
-        if not (bits_equal pi gth) then
-          Alcotest.failf "%d states: %s differs from gth by %.3e" n name
-            (Vector.max_abs_diff pi gth)
-      in
-      exact "stationary" (Ctmc.stationary chain);
-      exact "banded" (Ctmc.stationary_with Ctmc.Banded chain);
-      let lu = Vector.max_abs_diff gth (Ctmc.stationary_lu chain) in
-      if lu > 1e-12 then
-        Alcotest.failf "%d states: gth differs from lu by %.3e" n lu)
+      let m = rc_model ~classes ~level:"gold" ~n_active ~n_spare in
+      let chain = Avail.Exact.chain m in
+      let gth = Ctmc.stationary chain in
+      if not (close_elementwise (Avail.Exact.stationary m) gth) then
+        Alcotest.failf "%d states: gth differs from the product form"
+          (Ctmc.num_states chain))
     stiff_shapes
 
-(* Elimination up to 2048 states, power iteration only above: the
-   e-commerce chains the audit solves stay on GTH. *)
+(* The repository benchmark's markov probe reads [select_backend] on
+   e-commerce chains of up to 330 states; it is always GTH. *)
 let test_backend_selection () =
-  let backend =
-    Alcotest.testable
-      (fun ppf b -> Format.pp_print_string ppf (Ctmc.backend_name b))
-      ( = )
-  in
   List.iter
     (fun (n_active, n_spare, states) ->
       let chain = rc_chain ~classes:4 ~level:"gold" ~n_active ~n_spare in
       Alcotest.(check int) "state count" states (Ctmc.num_states chain);
-      Alcotest.check backend
-        (Printf.sprintf "%d-state e-commerce chain" states)
-        Ctmc.Gth (Ctmc.select_backend chain))
-    [ (6, 1, 330); (8, 1, 715) ];
-  let st = Random.State.make [| 0x5e1; 2048 |] in
-  List.iter
-    (fun (n, expected) ->
-      Alcotest.check backend
-        (Printf.sprintf "sparse %d-state chain" n)
-        expected
-        (Ctmc.select_backend (rand_chain st ~n ~extra:n)))
-    [ (2048, Ctmc.Gth); (2049, Ctmc.Power); (3000, Ctmc.Power) ]
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-state e-commerce chain on GTH" states)
+        true
+        (Ctmc.select_backend chain = Ctmc.Gth))
+    [ (6, 1, 330); (8, 1, 715) ]
 
 (* ------------------------------------------------------------------ *)
-(* Ill-posed chains: every backend must reject them with the same typed
-   error, never return garbage. *)
+(* Ill-posed chains: rejected with a typed error, never garbage. *)
 
 let absorbing_chain n =
   let chain = Ctmc.create n in
@@ -231,12 +194,9 @@ let escaping_chain () =
 let test_non_ergodic_rejected () =
   List.iter
     (fun (kind, chain) ->
-      List.iter
-        (fun (name, backend) ->
-          match Ctmc.stationary_with backend chain with
-          | _ -> Alcotest.failf "%s: %s accepted a non-ergodic chain" kind name
-          | exception Ctmc.Non_ergodic _ -> ())
-        backends)
+      match Ctmc.stationary chain with
+      | _ -> Alcotest.failf "%s: accepted a non-ergodic chain" kind
+      | exception Ctmc.Non_ergodic _ -> ())
     [
       ("absorbing", absorbing_chain 6);
       ("escaping", escaping_chain ());
@@ -246,8 +206,8 @@ let test_non_ergodic_rejected () =
 (* Engine B's closed form against the GTH oracle. *)
 
 (* Random tier models of 1-4 chain classes whose chains have at most
-   2048 states (GTH's dense limit): per class count, the resource total
-   is drawn up to the largest that fits. Rates and repair times span
+   2048 states: per class count, the resource total is drawn up to the
+   largest that fits. Rates and repair times span
    the stiff range of the e-commerce specs; a zero-MTTR class now and
    then checks that such classes stay out of the chain. *)
 let gen_tier_model =
@@ -299,25 +259,18 @@ let print_tier_model (m : Avail.Tier_model.t) =
           m.classes))
     (Avail.Exact.num_states m)
 
-(* Elementwise, relative to each entry, since π(s) spans hundreds of
-   orders of magnitude between the all-up and the all-failed states:
-   the closed form carries about two roundings per failed resource, GTH
-   a few per elimination step. Entries near the subnormal range carry
-   no relative precision, so they get an absolute floor of 1e-300. *)
+(* The closed form carries about two roundings per failed resource,
+   GTH a few per elimination step. *)
 let product_form_vs_gth =
   QCheck2.Test.make ~name:"product form equals GTH elementwise" ~count:60
     ~print:print_tier_model gen_tier_model (fun m ->
-      let closed = Avail.Exact.stationary m in
-      let gth = Ctmc.stationary_gth (Avail.Exact.chain m) in
-      Array.length closed = Array.length gth
-      && Array.for_all2
-           (fun p g -> Float.abs (p -. g) <= (1e-12 *. g) +. 1e-300)
-           closed gth)
+      close_elementwise (Avail.Exact.stationary m)
+        (Ctmc.stationary (Avail.Exact.chain m)))
 
-(* The application-tier frontier at load 1000 holds twelve models above
-   the dense limit (2380 to 4845 states), where a chain solve would fall
-   to power iteration. The closed form answers them, and agrees with
-   Engine A to the relative part of the identity bound: their downtime
+(* The application-tier frontier at load 1000 holds twelve models of
+   2380 to 4845 states, where a dense chain solve would need an n × n
+   workspace of 45 to 188 MB. The closed form answers them, and agrees
+   with Engine A to the relative part of the identity bound: their downtime
    fractions (about 1e-25 on the 2380-state models) sit far below its
    1e-12 absolute floor, which would accept any answer. *)
 let test_exact_above_dense_limit () =
@@ -355,8 +308,8 @@ let test_exact_history_independent () =
     Alcotest.failf "y alone %.17g vs after x %.17g" alone after_x
 
 (* Engine B's answers are observed through its engine span, call
-   counter and state-count histogram; none of them reaches a markov
-   backend, so no markov span opens and no solve counter moves. *)
+   counter and state-count histogram; none of them solves a chain, so no
+   markov span opens and no solve counter moves. *)
 let test_exact_solves_observed () =
   let registry = Telemetry.create () in
   Telemetry.with_registry registry @@ fun () ->
@@ -382,15 +335,8 @@ let test_exact_solves_observed () =
          else None)
        spans);
   let counter = Telemetry.Counter.read_by_name registry in
-  Alcotest.(check (list int))
-    "engine calls; gth, banded, power solves; solver fallback"
-    [ 2; 0; 0; 0; 0 ]
-    (List.map counter
-       [
-         "avail.engine.exact.calls"; "markov.gth.solves";
-         "markov.banded.solves"; "markov.power.solves";
-         "markov.solver.fallback";
-       ]);
+  Alcotest.(check (list int)) "engine calls; gth solves" [ 2; 0 ]
+    (List.map counter [ "avail.engine.exact.calls"; "markov.gth.solves" ]);
   Alcotest.(check (list string)) "no markov histogram" []
     (List.filter
        (fun name -> String.starts_with ~prefix:"markov." name)
@@ -408,8 +354,6 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "all backends vs dense LU" `Quick
-            test_backends_vs_lu;
           Alcotest.test_case "stiff availability chains" `Quick
             test_stiff_chains;
           Alcotest.test_case "backend selection" `Quick test_backend_selection;
@@ -420,7 +364,7 @@ let () =
       ( "invariants",
         [
           Alcotest.test_case "distribution and residual" `Quick
-            test_backend_invariants;
+            test_distribution_invariants;
           Alcotest.test_case "non-ergodic chains rejected" `Quick
             test_non_ergodic_rejected;
         ] );
